@@ -552,32 +552,31 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     std::vector<double> ub;  // per-block unit-similarity upper bounds
     bool degraded = false;
 
-    auto score_and_push = [&](RankSlots::Slot& sl, std::size_t dropped,
+    auto score_and_push = [&](RankSlots::Slot& sl, const db::RowId* rows,
+                              std::size_t n, std::size_t dropped,
                               bool require_positive) {
-      const std::size_t n = sl.rows.size();
       if (n == 0) return;
       sl.rank.resize(n);
       sl.unit.resize(n);
       if (options.use_vector_kernels) {
-        sl.scorer->ScoreBlock(*rt.table, sl.rows.data(), n, dropped,
-                              sl.rank.data(), sl.unit.data());
+        sl.scorer->ScoreBlock(*rt.table, rows, n, dropped, sl.rank.data(),
+                              sl.unit.data());
       } else {
         for (std::size_t i = 0; i < n; ++i) {
-          PartialScore p = sl.scorer->Score(*rt.table, sl.rows[i], dropped);
+          PartialScore p = sl.scorer->Score(*rt.table, rows[i], dropped);
           sl.rank[i] = p.rank_sim;
           sl.unit[i] = p.unit_sim;
         }
       }
       for (std::size_t i = 0; i < n; ++i) {
         if (require_positive && sl.unit[i] <= 0.0) continue;
-        if (sl.topk.Push(sl.rank[i], sl.rows[i],
+        if (sl.topk.Push(sl.rank[i], rows[i],
                          static_cast<std::uint32_t>(dropped)) &&
             sl.topk.full()) {
           RaiseThreshold(&shared_threshold, sl.topk.threshold(),
                          &sl.threshold_updates);
         }
       }
-      sl.rows.clear();
     };
     // Delta rows are row-major; scored serially on the caller after the
     // parallel base sweep finished (slot 0 is then free, and its scorer is
@@ -600,6 +599,12 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
       // first pass that reaches a row owns its measure label, exactly like
       // the serial path. Only the scoring inside a pass fans out.
       std::vector<db::RowId> cand_base, cand_delta;
+      // A maximal run of a pass's base candidates inside one rank block:
+      // cand_base[begin, end), all in block `block`.
+      struct BlockRun {
+        std::size_t begin, end, block;
+      };
+      std::vector<BlockRun> runs;
       for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
         if (control.Expired()) {
           degraded = true;
@@ -634,44 +639,52 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
         const bool prunable =
             rb != nullptr && cand_base.size() >= kMinRankRowsForBounds &&
             scorer->ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
-        constexpr std::size_t kChunkRows = 2048;
-        const std::size_t n_chunks =
-            (cand_base.size() + kChunkRows - 1) / kChunkRows;
+        // Candidates arrive in row order, so same-block runs are
+        // contiguous. A prunable pass visits its runs best bound first
+        // (stable: equal bounds keep row order), so the threshold nears its
+        // final value in the first block scored and later blocks prune
+        // against it. Order never changes the answer: TopK keeps the exact
+        // (score, row) prefix whatever the push order, and a block is
+        // skipped only when its bound is STRICTLY below the threshold.
+        runs.clear();
+        for (std::size_t i = 0; i < cand_base.size();) {
+          const std::size_t b = cand_base[i] / db::exec::kRankBlockRows;
+          std::size_t j = i + 1;
+          while (j < cand_base.size() &&
+                 cand_base[j] / db::exec::kRankBlockRows == b) {
+            ++j;
+          }
+          runs.push_back(BlockRun{i, j, b});
+          i = j;
+        }
+        if (prunable) {
+          std::stable_sort(runs.begin(), runs.end(),
+                           [&](const BlockRun& a, const BlockRun& b) {
+                             return ub[a.block] > ub[b.block];
+                           });
+        }
         const bool par_pass = runner != nullptr &&
                               cand_base.size() >=
                                   db::exec::kMinRowsForParallelExec;
-        auto body = [&, dropped](std::size_t c) {
+        // One run per morsel; the serial pass is the same loop run inline.
+        auto body = [&, dropped](std::size_t m) {
+          const BlockRun& run = runs[m];
           const std::size_t s_idx = slots.Acquire();
           RankSlots::Slot& sl = slots.slot(s_idx);
-          sl.rows.clear();
-          const std::size_t lo = c * kChunkRows;
-          const std::size_t hi =
-              std::min(lo + kChunkRows, cand_base.size());
-          std::size_t i = lo;
-          while (i < hi) {
-            // Candidates arrive in row order, so same-block runs are
-            // contiguous; prune run-at-a-time against the shared threshold.
-            const std::size_t b = cand_base[i] / db::exec::kRankBlockRows;
-            std::size_t j = i + 1;
-            while (j < hi && cand_base[j] / db::exec::kRankBlockRows == b) {
-              ++j;
-            }
-            if (prunable &&
-                exact_part + ub[b] <
-                    shared_threshold.load(std::memory_order_relaxed)) {
-              ++sl.blocks_skipped;
-              sl.rows_pruned += j - i;
-            } else {
-              ++sl.blocks_visited;
-              sl.rows.insert(sl.rows.end(), cand_base.begin() + i,
-                             cand_base.begin() + j);
-            }
-            i = j;
+          if (prunable &&
+              exact_part + ub[run.block] <
+                  shared_threshold.load(std::memory_order_relaxed)) {
+            ++sl.blocks_skipped;
+            sl.rows_pruned += run.end - run.begin;
+          } else {
+            ++sl.blocks_visited;
+            score_and_push(sl, cand_base.data() + run.begin,
+                           run.end - run.begin, dropped,
+                           /*require_positive=*/false);
           }
-          score_and_push(sl, dropped, /*require_positive=*/false);
           slots.Release(s_idx);
         };
-        if (!db::exec::RunMorsels(n_chunks, par_pass ? par : 1,
+        if (!db::exec::RunMorsels(runs.size(), par_pass ? par : 1,
                                   par_pass ? runner : nullptr, body,
                                   &control)) {
           degraded = true;
@@ -722,7 +735,8 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           for (db::RowId r = r_lo; r < r_hi; ++r) {
             if (!already.Test(r) && is_live(r)) sl.rows.push_back(r);
           }
-          score_and_push(sl, 0, /*require_positive=*/true);
+          score_and_push(sl, sl.rows.data(), sl.rows.size(), 0,
+                         /*require_positive=*/true);
         }
         slots.Release(s_idx);
       };

@@ -346,25 +346,11 @@ SimScorer::SimScorer(const db::Schema& schema,
       u.conds.push_back(std::move(cs));
     }
     // ScoreBlock memo key: the sorted unique attributes the unit's
-    // similarity reads (kNoAttr placeholders resolve to the unit's own
-    // attribute, mirroring UnitSimImpl's numeric case).
-    switch (unit.kind) {
-      case MatchUnit::Kind::kIdentity:
-        u.read_attrs = u.identity_attrs;
-        break;
-      case MatchUnit::Kind::kTypeII:
-        u.read_attrs = UniqueCondAttrs(unit);
-        break;
-      case MatchUnit::Kind::kTypeIII:
-      case MatchUnit::Kind::kAmbiguous:
-        for (const Condition& c : unit.conds) {
-          u.read_attrs.push_back(c.attr == kNoAttr ? unit.attr : c.attr);
-        }
-        std::sort(u.read_attrs.begin(), u.read_attrs.end());
-        u.read_attrs.erase(
-            std::unique(u.read_attrs.begin(), u.read_attrs.end()),
-            u.read_attrs.end());
-        break;
+    // similarity reads. Numeric units keep none: ScoreBlock reads their
+    // packed columns instead of memoizing.
+    if (unit.kind == MatchUnit::Kind::kIdentity ||
+        unit.kind == MatchUnit::Kind::kTypeII) {
+      u.read_attrs = UniqueCondAttrs(unit);
     }
     units_.push_back(std::move(u));
   }
@@ -495,6 +481,45 @@ void SimScorer::ScoreBlock(const db::Table& table, const db::RowId* rows,
   RowRef ref;
   ref.schema = &table.schema();
   ref.table = &table;
+
+  const MatchUnit::Kind kind = unit.unit->kind;
+  if (kind == MatchUnit::Kind::kTypeIII ||
+      kind == MatchUnit::Kind::kAmbiguous) {
+    // Numeric: read the packed columns directly. Values are nearly unique
+    // per row (prices carry cents), so a code memo would miss on almost
+    // every row. Same arithmetic as UnitSimImpl: the max over the unit's
+    // conditions of Num_Sim, a NULL cell (NaN in the packed column)
+    // contributing nothing; a NaN-valued Real contributes nothing there
+    // either, since std::max(best, NaN) keeps best. Text columns hold no
+    // numeric cell and have no packed column.
+    struct NumCond {
+      const double* values;
+      double target;
+      double range;
+    };
+    std::vector<NumCond> conds;
+    for (const CondSim& cs : unit.conds) {
+      const Condition& c = *cs.cond;
+      const std::size_t attr = c.attr == kNoAttr ? unit.unit->attr : c.attr;
+      const auto& packed = table.store().numeric_column(attr);
+      if (packed.empty()) continue;
+      conds.push_back(NumCond{
+          packed.data(),
+          c.op == db::CompareOp::kBetween ? (c.lo + c.hi) / 2.0 : c.lo,
+          attr < ctx_->attr_ranges.size() ? ctx_->attr_ranges[attr] : 0.0});
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      double best = 0.0;
+      for (const NumCond& c : conds) {
+        const double v = c.values[rows[i]];
+        if (std::isnan(v)) continue;
+        best = std::max(best, NumSim(c.target, v, c.range));
+      }
+      rank_sims[i] = exact_part + best;
+      if (unit_sims != nullptr) unit_sims[i] = best;
+    }
+    return;
+  }
 
   const std::size_t num_attrs = unit.read_attrs.size();
   if (num_attrs == 0 || num_attrs > 2) {

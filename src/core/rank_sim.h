@@ -103,14 +103,16 @@ class SimScorer {
                      std::size_t dropped_unit);
 
   /// Batched Eq. 5 over BASE-table rows for one dropped unit: fills
-  /// rank_sims[i] (and unit_sims[i] when non-null) for rows[i]. A unit's
-  /// similarity is a pure function of the row's dictionary codes on the
+  /// rank_sims[i] (and unit_sims[i] when non-null) for rows[i].
+  /// Type III and ambiguous units are scored straight from the packed
+  /// numeric columns (ColumnStore::numeric_column). Identity and Type II
+  /// similarities are a pure function of the row's dictionary codes on the
   /// unit's read attributes (same codes → same cells → same elements), so
-  /// scores are memoized per distinct code tuple when the unit reads at
-  /// most two attributes — byte-identical to Score() row by row, with the
-  /// RowRef adapter, memo probes, and measure-string composition hoisted
-  /// out of the candidate loop. RankStage's full-table and relaxation
-  /// sweeps use this under EngineOptions::use_vector_kernels.
+  /// they are memoized per distinct code tuple when the unit reads at most
+  /// two attributes. Either way the result is bit-identical to Score() row
+  /// by row, with the RowRef adapter, memo probes, and measure-string
+  /// composition hoisted out of the candidate loop. RankStage's full-table
+  /// and relaxation sweeps use this under EngineOptions::use_vector_kernels.
   void ScoreBlock(const db::Table& table, const db::RowId* rows,
                   std::size_t n, std::size_t dropped_unit, double* rank_sims,
                   double* unit_sims);
@@ -173,8 +175,9 @@ class SimScorer {
     std::vector<std::size_t> identity_attrs;  ///< sorted unique Type I attrs
     text::TermId value_ti_id = text::kInvalidTerm;  ///< unit.value in TI
     std::string measure;                      ///< Table 2 label
-    /// Sorted unique attributes this unit's similarity reads — the code
-    /// tuple over these is ScoreBlock's memo key.
+    /// Identity / Type II: sorted unique attributes this unit's similarity
+    /// reads — the code tuple over these is ScoreBlock's memo key. Empty
+    /// for numeric units (ScoreBlock reads their packed columns).
     std::vector<std::size_t> read_attrs;
   };
 
@@ -193,8 +196,9 @@ class SimScorer {
   /// Record-side memo tables (hits AND misses are cached).
   std::unordered_map<std::string, ValueToks> element_toks_;
   std::unordered_map<std::string, text::TermId> ti_ids_;
-  /// Per unit: similarity by the code tuple of the unit's read attributes
-  /// (ScoreBlock only; (c0 << 32) | c1, or c0 for single-attribute units).
+  /// Per identity / Type II unit: similarity by the code tuple of the
+  /// unit's read attributes (ScoreBlock and ComputeBlockBounds;
+  /// (c0 << 32) | c1, or c0 for single-attribute units).
   std::vector<std::unordered_map<std::uint64_t, double>> unit_memo_;
 };
 

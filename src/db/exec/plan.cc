@@ -18,10 +18,33 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The density at which row-at-a-time work gives way to block masks.
 /// RangeScanNode::ExecuteLazy switches from the sorted-index probe to the
 /// vectorized packed-column scan at this estimated selectivity: past it the
 /// index path's row-id gather + sort costs more than streaming the column.
-constexpr double kRangeScanDenseThreshold = 1.0 / 16.0;
+/// FilterNode::ExecuteLazy applies the same fraction to the blocks a sparse
+/// child touches (see DenseInTouchedBlocks).
+constexpr double kDenseFraction = 1.0 / 16.0;
+
+/// True when a sorted row set is worth verifying block-at-a-time: at least
+/// one block's worth of rows, filling the blocks it touches to at least
+/// kDenseFraction. Then a mask per touched block (per-distinct-cell match
+/// tables built once, word-parallel ANDs) costs less than one Matches()
+/// call per row; a handful of rows strewn over many blocks does not.
+bool DenseInTouchedBlocks(const RowSet& rows) {
+  if (rows.size() < kBlockRows) return false;
+  std::size_t touched = 0;
+  std::size_t last = static_cast<std::size_t>(-1);
+  for (RowId r : rows) {
+    const std::size_t b = r / kBlockRows;
+    if (b != last) {
+      ++touched;
+      last = b;
+    }
+  }
+  return static_cast<double>(rows.size()) >=
+         kDenseFraction * static_cast<double>(touched * kBlockRows);
+}
 
 /// Loads the word-aligned window of a whole-table bitmap covering rows
 /// [base, base+n) into a block mask (tail words zeroed).
@@ -202,7 +225,7 @@ RangeScanNode::RangeScanNode(const Table* table, CompiledPredicate cp)
 }
 
 LazyRowSet RangeScanNode::ExecuteLazy(ExecStats* stats) const {
-  if (est_selectivity < kRangeScanDenseThreshold ||
+  if (est_selectivity < kDenseFraction ||
       cp_.mode != CompiledPredicate::Mode::kNumeric) {
     return PlanNode::ExecuteLazy(stats);  // index probe, sparse result
   }
@@ -372,6 +395,12 @@ LazyRowSet FilterNode::ExecuteLazy(ExecStats* stats) const {
   if (residual_.empty()) return child;
   const ColumnStore& store = table_->store();
 
+  if (!child.is_bitmap() && DenseInTouchedBlocks(child.rows)) {
+    // Sparse form, dense where it lands (an index scan over a clustered
+    // column): the block-mask path below pays off.
+    child = LazyRowSet::FromBitmap(
+        RowBitmap::FromSet(child.rows, table_->num_rows()));
+  }
   if (!child.is_bitmap()) {
     // Sparse survivors: per-distinct-cell tables would not amortize over a
     // few probes, so run the scalar single-pass conjunction.

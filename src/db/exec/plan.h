@@ -169,8 +169,11 @@ class FilterNode : public PlanNode {
   /// full re-scan of the surviving set per predicate.
   RowSet Execute(ExecStats* stats) const override;
   /// Dense child: AND each residual's block mask into the child's bitmap,
-  /// skipping blocks whose mask is already empty. Sparse child: one scalar
-  /// pass (building per-distinct-cell tables wouldn't amortize).
+  /// skipping blocks whose mask is already empty. A sparse child takes the
+  /// same path when it holds at least kBlockRows rows filling the blocks it
+  /// touches to at least 1/16 (RangeScanNode's dense threshold). Other
+  /// sparse children: one scalar pass (building per-distinct-cell tables
+  /// wouldn't amortize).
   LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 #include "qlog/log_generator.h"
 #include "test_fixtures.h"
@@ -191,6 +196,108 @@ TEST_F(RankSimTest, NullContextsDegradeGracefully) {
   // Num_Sim still works without matrices.
   auto price_unit = PriceUnit(db::CompareOp::kLt, 15000);
   EXPECT_GT(UnitSimilarity(table_, 1, price_unit, empty), 0.0);
+}
+
+// ------------------------------------- ScoreBlock numeric edge cases
+
+std::uint64_t Bits(double d) {
+  std::uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+Condition NumCond(std::size_t attr, db::CompareOp op, double lo,
+                  double hi = 0.0) {
+  Condition c;
+  c.kind = Condition::Kind::kTypeIIIBound;
+  c.attr = attr;
+  c.op = op;
+  c.lo = lo;
+  c.hi = hi;
+  return c;
+}
+
+// ScoreBlock reads numeric units straight from the packed columns (NaN at
+// NULL rows); per-row Score reads cells and skips non-numeric ones. The two
+// must agree bit for bit on NULL, NaN-valued and infinite cells, and on a
+// column whose range is 0.
+TEST(ScoreBlockNumericTest, MatchesPerRowScoreBitForBit) {
+  auto attr = [](const char* name, db::AttrType type, db::DataKind kind) {
+    db::Attribute a;
+    a.name = name;
+    a.attr_type = type;
+    a.data_kind = kind;
+    return a;
+  };
+  const db::DataKind num = db::DataKind::kNumeric;
+  db::Table table(db::Schema(
+      "cars", {attr("make", db::AttrType::kTypeI, db::DataKind::kCategorical),
+               attr("price", db::AttrType::kTypeIII, num),
+               attr("year", db::AttrType::kTypeIII, num),
+               attr("mileage", db::AttrType::kTypeIII, num)}));
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<db::Value> prices = {
+      db::Value::Null(),
+      db::Value::Real(std::numeric_limits<double>::quiet_NaN()),
+      db::Value::Real(inf),
+      db::Value::Real(-inf),
+      db::Value::Real(5000.0),
+      db::Value::Real(7000.5),
+      db::Value::Int(8000),
+      db::Value::Real(8999.75),
+      db::Value::Real(12000.0),
+      db::Value::Null()};
+  for (std::size_t i = 0; i < prices.size(); ++i) {
+    db::Record r = {db::Value::Text(i % 2 == 0 ? "honda" : "ford"), prices[i],
+                    db::Value::Real(2005.0),  // one distinct value
+                    i % 3 == 0 ? db::Value::Null()
+                               : db::Value::Real(20000.0 * i)};
+    ASSERT_TRUE(table.Insert(std::move(r)).ok());
+  }
+  table.BuildIndexes();
+
+  SimilarityContext ctx;
+  // year holds one distinct value, so its range is 0 (ComputeAttrRanges'
+  // top-ten minus bottom-ten average): Num_Sim on it is always 0.
+  ctx.attr_ranges = {0.0, 10000.0, 0.0, 150000.0};
+
+  std::vector<MatchUnit> units(3);
+  // Type III kBetween on price: target at the midpoint, 8000.
+  units[0].kind = MatchUnit::Kind::kTypeIII;
+  units[0].attr = 1;
+  units[0].conds = {NumCond(1, db::CompareOp::kBetween, 6000.0, 10000.0)};
+  // Type III with two conditions on different columns.
+  units[1].kind = MatchUnit::Kind::kTypeIII;
+  units[1].attr = 1;
+  units[1].conds = {NumCond(1, db::CompareOp::kGe, 7000.0),
+                    NumCond(3, db::CompareOp::kLe, 60000.0)};
+  // Ambiguous "2005": the unit's own attribute (year, range 0) through a
+  // kNoAttr placeholder, price, and a text column with no numeric cell.
+  units[2].kind = MatchUnit::Kind::kAmbiguous;
+  units[2].attr = 2;
+  units[2].conds = {NumCond(kNoAttr, db::CompareOp::kEq, 2005.0),
+                    NumCond(1, db::CompareOp::kEq, 2005.0),
+                    NumCond(0, db::CompareOp::kEq, 2005.0)};
+
+  SimScorer scorer(table.schema(), units, ctx);
+  std::vector<db::RowId> rows;  // descending: ScoreBlock needs no order
+  for (db::RowId r = table.num_rows(); r-- > 0;) rows.push_back(r);
+  std::vector<double> rank(rows.size()), unit(rows.size());
+  for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
+    scorer.ScoreBlock(table, rows.data(), rows.size(), dropped, rank.data(),
+                      unit.data());
+    std::size_t positive = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const PartialScore one = scorer.Score(table, rows[i], dropped);
+      EXPECT_EQ(Bits(rank[i]), Bits(one.rank_sim))
+          << "unit " << dropped << " row " << rows[i];
+      EXPECT_EQ(Bits(unit[i]), Bits(one.unit_sim))
+          << "unit " << dropped << " row " << rows[i];
+      positive += unit[i] > 0.0;
+    }
+    // Not vacuous: finite prices near each target score above 0.
+    EXPECT_GT(positive, 0u) << "unit " << dropped;
+  }
 }
 
 }  // namespace

@@ -262,7 +262,9 @@ TEST_P(TopKRankParityTest, RankCountersAccumulate) {
                 static_cast<std::size_t>(core::EngineOptions().answer_cap));
     }
   }
-  if (ranked_questions > 0) EXPECT_GT(blocks_visited, 0u);
+  if (ranked_questions > 0) {
+    EXPECT_GT(blocks_visited, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -372,6 +374,83 @@ TEST_F(TieBoundaryTest, DeltaRowsAndTombstonesStayByteIdentical) {
 
   ASSERT_TRUE(engine_.CompactDomain("cars").ok());
   ExpectParity(questions);
+}
+
+// ------------------------------------ best-first visits (clustered data)
+
+/// Three (make, model) groups of 8 blocks each, prices ascending inside a
+/// group in half-dollar steps from a quarter-dollar offset, so an integer
+/// price target never matches exactly: every "make model price" ask ranks
+/// the N-1 pass that drops price over the whole group. Targets sit in the
+/// group's last block, which row-order visiting reaches last.
+class ClusteredRankTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kGroupRows = 8 * db::exec::kRankBlockRows;
+
+  ClusteredRankTest() : table_(testing::MiniCarSchema()) {
+    static constexpr const char* kGroups[][2] = {
+        {"honda", "accord"}, {"toyota", "camry"}, {"ford", "focus"}};
+    static constexpr const char* kColors[] = {"blue", "red", "white"};
+    for (std::size_t g = 0; g < 3; ++g) {
+      for (std::size_t i = 0; i < kGroupRows; ++i) {
+        const double price = 10000.0 * static_cast<double>(g + 1) +
+                             0.5 * static_cast<double>(i) + 0.25;
+        EXPECT_TRUE(table_
+                        .Insert(CarRecord(kGroups[g][0], kGroups[g][1], 2005,
+                                          price, 60000, kColors[i % 3],
+                                          "automatic", "4 door",
+                                          "2 wheel drive", "cd player"))
+                        .ok());
+      }
+    }
+    table_.BuildIndexes();
+    EXPECT_TRUE(engine_.AddDomain(&table_, qlog::TiMatrix()).ok());
+  }
+
+  /// Targets inside each group's last block (rows 7168..8191 of the group,
+  /// prices +3584.25..+4095.75), with and without a color unit.
+  static std::vector<datagen::GeneratedQuestion> Questions() {
+    std::vector<datagen::GeneratedQuestion> qs;
+    for (const char* text :
+         {"honda accord 13800 dollars", "toyota camry 23650 dollars",
+          "ford focus 33900 dollars", "blue honda accord 13900 dollars",
+          "red ford focus 33700 dollars"}) {
+      datagen::GeneratedQuestion q;
+      q.text = text;
+      qs.push_back(std::move(q));
+    }
+    return qs;
+  }
+
+  db::Table table_;
+  core::CqadsEngine engine_;
+};
+
+TEST_F(ClusteredRankTest, BestFirstVisitsTheTargetBlockOnly) {
+  const auto questions = Questions();
+  core::EngineOptions off;
+  off.use_topk_rank = false;
+  ExpectAskParity(engine_, "cars", questions, core::EngineOptions(), off,
+                  "serial");
+
+  // The first block scored holds the target, so the threshold reaches its
+  // final value there and every other block of the group bounds below it.
+  engine_.SetOptions(core::EngineOptions());
+  for (const auto& q : questions) {
+    auto r = engine_.AskInDomain("cars", q.text);
+    ASSERT_TRUE(r.ok()) << r.status();
+    const db::ExecStats& st = r.value().stats;
+    EXPECT_EQ(r.value().answers.size(), 30u) << q.text;
+    EXPECT_GE(st.rank_blocks_visited, 1u) << q.text;
+    EXPECT_LE(st.rank_blocks_visited, 2u) << q.text;
+    EXPECT_GE(st.rank_blocks_skipped, 6u) << q.text;
+  }
+
+  serve::WorkerPool pool(4);
+  core::EngineOptions parallel;
+  parallel.exec_runner = &pool;
+  parallel.exec_parallelism = 4;
+  ExpectAskParity(engine_, "cars", questions, parallel, off, "parallel");
 }
 
 // ------------------------------------------- parallel sweeps (big domain)

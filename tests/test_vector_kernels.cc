@@ -2,7 +2,8 @@
 // tested against the scalar oracle on adversarial inputs (all-null columns,
 // kNullCode runs, non-multiple-of-64 tails, empty selections, single-row
 // tables), LazyRowSet algebra vs sorted-vector set semantics, plan-level
-// vectorize-on/off row-set identity, SimScorer::ScoreBlock vs per-row
+// vectorize-on/off row-set identity (including both sides of FilterNode's
+// dense-in-touched-blocks rule), SimScorer::ScoreBlock vs per-row
 // Score, and engine-level byte-parity of the whole ask path with
 // use_vector_kernels on vs off across all eight datagen domains.
 #include <gtest/gtest.h>
@@ -10,7 +11,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -333,6 +337,83 @@ TEST(LazyRowSetTest, AlgebraMatchesSetSemanticsInEveryRepresentation) {
 
 // ---- world-backed differentials -------------------------------------------
 
+// ------------------------------------------ Filter over a sparse child
+
+/// 32768 rows of (make, color). make = 'ford' on every 25th row (1311 rows
+/// over all 32 blocks, 1/25 of each: below the 1/16 fill), 'honda' on the
+/// rest of rows [0, 2048) (1966 rows packed into 2 blocks), 'toyota'
+/// elsewhere. color cycles NULL / 'blue' / 'red', so a != residual must
+/// keep the NULL rows (only negations match NULL).
+db::Table FilterRuleTable() {
+  auto attr = [](const char* name) {
+    db::Attribute a;
+    a.name = name;
+    a.attr_type = db::AttrType::kTypeI;
+    a.data_kind = db::DataKind::kCategorical;
+    return a;
+  };
+  db::Table table(db::Schema("cars", {attr("make"), attr("color")}));
+  for (RowId r = 0; r < 32768; ++r) {
+    const char* make = r % 25 == 5 ? "ford" : r < 2048 ? "honda" : "toyota";
+    db::Value color = r % 3 == 0   ? db::Value::Null()
+                      : r % 3 == 1 ? db::Value::Text("blue")
+                                   : db::Value::Text("red");
+    EXPECT_TRUE(table.Insert({db::Value::Text(make), color}).ok());
+  }
+  table.BuildIndexes();
+  return table;
+}
+
+/// Filter(color != 'blue') over IndexScan(make = `make`), run vectorized
+/// and scalar: the row sets must match and keep the NULL-colored rows.
+/// Returns the vectorized run's stats.
+db::ExecStats ExpectFilterParity(const db::Table& table, const char* make) {
+  auto compile = [&](std::size_t attr, CompareOp op, const char* value) {
+    db::Predicate pred;
+    pred.attr = attr;
+    pred.op = op;
+    pred.value = db::Value::Text(value);
+    return db::exec::CompilePredicate(table, pred);
+  };
+  std::vector<db::exec::CompiledPredicate> residuals;
+  residuals.push_back(compile(1, CompareOp::kNe, "blue"));
+  auto root = std::make_unique<db::exec::FilterNode>(
+      &table,
+      std::make_unique<db::exec::IndexScanNode>(
+          &table, compile(0, CompareOp::kEq, make),
+          std::vector<std::string>{make}),
+      std::move(residuals));
+  const db::exec::PhysicalPlan plan(&table, std::move(root), std::nullopt,
+                                    table.num_rows());
+  db::ExecStats vec_stats, scalar_stats;
+  auto vec = plan.ExecuteRowSet(&vec_stats, /*vectorize=*/true);
+  auto scalar = plan.ExecuteRowSet(&scalar_stats, /*vectorize=*/false);
+  EXPECT_TRUE(vec.ok() && scalar.ok());
+  if (!vec.ok() || !scalar.ok()) return vec_stats;
+  EXPECT_EQ(vec.value(), scalar.value()) << make;
+  std::size_t null_rows = 0;
+  for (RowId r : vec.value()) null_rows += table.store().is_null(r, 1);
+  EXPECT_GT(null_rows, 0u) << make;
+  return vec_stats;
+}
+
+TEST(FilterRuleTest, PackedChildTakesBlockMasks) {
+  const db::Table table = FilterRuleTable();
+  ASSERT_GE(table.hash_index(0)->Lookup("honda").size(), kBlockRows);
+  const db::ExecStats st = ExpectFilterParity(table, "honda");
+  EXPECT_EQ(st.rows_verified, 0u);  // no per-row Matches() calls
+  EXPECT_EQ(st.blocks_visited, 2u);
+}
+
+TEST(FilterRuleTest, ScatteredChildStaysRowAtATime) {
+  const db::Table table = FilterRuleTable();
+  const std::size_t child = table.hash_index(0)->Lookup("ford").size();
+  ASSERT_GE(child, kBlockRows);
+  const db::ExecStats st = ExpectFilterParity(table, "ford");
+  EXPECT_EQ(st.rows_verified, child);
+  EXPECT_EQ(st.blocks_visited, 0u);
+}
+
 class VectorParityTest : public ::testing::TestWithParam<std::string> {
  protected:
   static void SetUpTestSuite() {
@@ -386,7 +467,8 @@ TEST_P(VectorParityTest, PlansReturnIdenticalRowSetsVectorizedOrNot) {
   EXPECT_GT(plans_checked, 0u) << domain;
 }
 
-// Scoring-level: ScoreBlock's code-tuple memo path equals per-row Score.
+// Scoring-level: ScoreBlock (packed numeric columns, code-tuple memo)
+// equals per-row Score.
 TEST_P(VectorParityTest, ScoreBlockMatchesPerRowScore) {
   const std::string& domain = GetParam();
   const auto snapshot = world_->engine().snapshot();
@@ -417,9 +499,11 @@ TEST_P(VectorParityTest, ScoreBlockMatchesPerRowScore) {
       for (std::size_t i = 0; i < rows.size(); ++i) {
         const core::PartialScore one =
             scorer.Score(*rt->table, rows[i], dropped);
-        ASSERT_DOUBLE_EQ(rank[i], one.rank_sim)
+        // Exact: CanonicalAskResultString prints rank_sim to 17 digits,
+        // so even a one-ULP drift would break answer byte-parity.
+        ASSERT_EQ(rank[i], one.rank_sim)
             << domain << " '" << q.text << "' row " << rows[i];
-        ASSERT_DOUBLE_EQ(unit[i], one.unit_sim)
+        ASSERT_EQ(unit[i], one.unit_sim)
             << domain << " '" << q.text << "' row " << rows[i];
         ASSERT_EQ(scorer.unit_measure(dropped), one.measure);
       }
