@@ -1,10 +1,8 @@
 #include "common/json.h"
 
 #include <charconv>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 namespace cqads {
 
@@ -44,67 +42,109 @@ bool JsonValue::GetBool(std::string_view key, bool fallback) const {
   return (v != nullptr && v->is_bool()) ? v->bool_value() : fallback;
 }
 
+namespace {
+
+/// True for the bytes a JSON string literal cannot hold raw: the quote, the
+/// backslash and every control byte below 0x20.
+bool NeedsEscape(unsigned char c) { return c == '"' || c == '\\' || c < 0x20; }
+
+/// Offset of the first byte at or after `pos` that NeedsEscape, or
+/// s.size() when there is none; the writer and the parser both scan with
+/// it. It tests eight bytes per step with the borrow trick: for k <= 0x80,
+/// `(x - 0x0101..01 * k) & ~x & 0x8080..80` is nonzero exactly when some
+/// byte of x is below k. Applied with k = 0x20 to the word, and with k = 1
+/// to the word xored with quotes and with backslashes, it says whether the
+/// word holds a byte to escape but not which one, so a byte loop finds it
+/// and no byte order is assumed. Words are loaded only while all eight
+/// bytes lie inside `s`.
+std::size_t FindEscapeByte(std::string_view s, std::size_t pos) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHighBits = kOnes * 0x80;
+  for (; pos + 8 <= s.size(); pos += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, s.data() + pos, 8);
+    const std::uint64_t quote = w ^ (kOnes * '"');
+    const std::uint64_t backslash = w ^ (kOnes * '\\');
+    if ((((w - kOnes * 0x20) & ~w) | ((quote - kOnes) & ~quote) |
+         ((backslash - kOnes) & ~backslash)) &
+        kHighBits) {
+      break;
+    }
+  }
+  while (pos < s.size() && !NeedsEscape(static_cast<unsigned char>(s[pos]))) {
+    ++pos;
+  }
+  return pos;
+}
+
+void AppendEscape(unsigned char c, std::string* out) {
+  switch (c) {
+    case '"':
+      out->append("\\\"");
+      break;
+    case '\\':
+      out->append("\\\\");
+      break;
+    case '\b':
+      out->append("\\b");
+      break;
+    case '\f':
+      out->append("\\f");
+      break;
+    case '\n':
+      out->append("\\n");
+      break;
+    case '\r':
+      out->append("\\r");
+      break;
+    case '\t':
+      out->append("\\t");
+      break;
+    default: {
+      static constexpr char kHex[] = "0123456789abcdef";
+      const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+      out->append(u, sizeof(u));
+    }
+  }
+}
+
+}  // namespace
+
 void JsonEscape(std::string_view s, std::string* out) {
   out->push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\b':
-        out->append("\\b");
-        break;
-      case '\f':
-        out->append("\\f");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
-    }
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t next = FindEscapeByte(s, pos);
+    out->append(s.substr(pos, next - pos));
+    if (next == s.size()) break;
+    AppendEscape(static_cast<unsigned char>(s[next]), out);
+    pos = next + 1;
   }
   out->push_back('"');
 }
 
-namespace {
-
-void DumpNumber(double d, std::string* out) {
+void JsonAppendNumber(double d, std::string* out) {
   if (!std::isfinite(d)) {
     // JSON has no inf/nan literal; null is the conventional degradation.
     out->append("null");
     return;
   }
   // Integral values inside the exact-double range print as integers so
-  // request ids and counters round-trip byte-exactly.
+  // request ids and counters round-trip byte-exactly; the rest print the
+  // bytes of printf's "%.17g".
   constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  char buf[32];
+  char* end = nullptr;
   if (d == std::floor(d) && std::fabs(d) < kExactLimit) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<std::int64_t>(d));
-    out->append(buf);
-    return;
+    end = std::to_chars(buf, buf + sizeof(buf), static_cast<std::int64_t>(d))
+              .ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                        17)
+              .ptr;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out->append(buf);
+  out->append(buf, end);
 }
-
-}  // namespace
 
 void JsonValue::DumpTo(std::string* out) const {
   switch (kind_) {
@@ -115,7 +155,7 @@ void JsonValue::DumpTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       return;
     case Kind::kNumber:
-      DumpNumber(number_, out);
+      JsonAppendNumber(number_, out);
       return;
     case Kind::kString:
       JsonEscape(string_, out);
@@ -290,6 +330,9 @@ class Parser {
     if (!Consume('"')) return Fail("expected string");
     out->clear();
     while (true) {
+      const std::size_t next = FindEscapeByte(text_, pos_);
+      out->append(text_.substr(pos_, next - pos_));
+      pos_ = next;
       if (AtEnd()) return Fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
@@ -297,11 +340,6 @@ class Parser {
         return Status::OK();
       }
       if (c < 0x20) return Fail("raw control byte in string");
-      if (c != '\\') {
-        out->push_back(static_cast<char>(c));
-        ++pos_;
-        continue;
-      }
       ++pos_;  // past the backslash
       if (AtEnd()) return Fail("truncated escape");
       const char esc = text_[pos_++];

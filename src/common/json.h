@@ -121,6 +121,11 @@ class JsonValue {
 /// that build JSON text directly.
 void JsonEscape(std::string_view s, std::string* out);
 
+/// Appends `d` as JsonValue::DumpTo writes a number: integral values below
+/// 2^53 in magnitude as integers, other finite values as "%.17g", and
+/// inf/nan as null.
+void JsonAppendNumber(double d, std::string* out);
+
 }  // namespace cqads
 
 #endif  // CQADS_COMMON_JSON_H_

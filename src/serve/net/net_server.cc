@@ -288,20 +288,6 @@ Response MakeAskResponse(std::uint64_t id,
   return response;
 }
 
-Deadline BudgetToDeadline(double budget_ms) {
-  if (budget_ms > 0.0) {
-    return Deadline::After(std::chrono::microseconds(
-        static_cast<std::int64_t>(budget_ms * 1000.0)));
-  }
-  if (budget_ms < 0.0) {
-    // Already expired — the deterministic wire form of "this request's
-    // budget was spent before it reached the socket" (tests use it to pin
-    // the expired-in-queue path without sleeping).
-    return Deadline::After(std::chrono::microseconds(-1));
-  }
-  return Deadline::Infinite();
-}
-
 }  // namespace
 
 void NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,

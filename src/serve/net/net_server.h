@@ -17,13 +17,14 @@
 // POLLOUT allows. Responses on one connection may therefore leave in
 // completion order, not request order — the protocol's `id` correlates.
 //
-// Deadline propagation: a request's budget_ms becomes Deadline::After at
-// dispatch time, flowing into the same Deadline/CancelToken machinery the
-// in-process path uses (expired-in-queue drop, cooperative morsel
-// cancellation, graceful rank degradation). Admission control is the
-// ConcurrentServer's: past max_queue, AskAsyncInDomain sheds with
-// kOverloaded in O(1) and the client gets status "overloaded" — overload
-// degrades by shedding, never by unbounded buffering.
+// Deadline propagation: a request's budget_ms becomes a Deadline
+// (BudgetToDeadline, protocol.h) at dispatch time, flowing into the same
+// Deadline/CancelToken machinery the in-process path uses (expired-in-queue
+// drop, cooperative morsel cancellation, graceful rank degradation).
+// Admission control is the ConcurrentServer's: past max_queue,
+// AskAsyncInDomain sheds with kOverloaded in O(1) and the client gets
+// status "overloaded" — overload degrades by shedding, never by unbounded
+// buffering.
 //
 // Failure containment, per connection:
 //   framing violation (zero/oversized frame)  close the connection

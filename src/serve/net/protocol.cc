@@ -1,6 +1,6 @@
 #include "serve/net/protocol.h"
 
-#include <cstring>
+#include <chrono>
 
 #include "common/json.h"
 
@@ -102,6 +102,22 @@ std::string EncodeRequest(const Request& request) {
   return v.Dump();
 }
 
+namespace {
+
+/// The "id" member (absent = 0), refused outside [0, kMaxWireId]: past
+/// 2^53 doubles skip integers, and casting one past 2^64 to uint64_t is
+/// undefined behaviour.
+Result<std::uint64_t> DecodeId(const JsonValue& v, const char* what) {
+  const double id = v.GetNumber("id", 0.0);
+  if (!(id >= 0.0 && id <= kMaxWireId)) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " id outside [0, 2^53]");
+  }
+  return static_cast<std::uint64_t>(id);
+}
+
+}  // namespace
+
 Result<Request> DecodeRequest(std::string_view payload) {
   auto parsed = JsonValue::Parse(payload);
   if (!parsed.ok()) return parsed.status();
@@ -110,9 +126,9 @@ Result<Request> DecodeRequest(std::string_view payload) {
     return Status::InvalidArgument("request is not a JSON object");
   }
   Request request;
-  const double id = v.GetNumber("id", 0.0);
-  if (id < 0.0) return Status::InvalidArgument("negative request id");
-  request.id = static_cast<std::uint64_t>(id);
+  auto id = DecodeId(v, "request");
+  if (!id.ok()) return id.status();
+  request.id = id.value();
   request.method = v.GetString("method");
   if (request.method.empty()) {
     return Status::InvalidArgument("request has no method");
@@ -123,28 +139,56 @@ Result<Request> DecodeRequest(std::string_view payload) {
   return request;
 }
 
-std::string EncodeResponse(const Response& response) {
-  JsonValue v = JsonValue::Object();
-  v.Set("id", JsonValue::Number(static_cast<double>(response.id)));
-  v.Set("status", JsonValue::Str(response.status));
-  if (!response.error.empty()) {
-    v.Set("error", JsonValue::Str(response.error));
+Deadline BudgetToDeadline(double budget_ms) {
+  if (budget_ms >= kMaxBudgetMs) return Deadline::Infinite();
+  if (budget_ms > 0.0) {
+    return Deadline::After(std::chrono::microseconds(
+        static_cast<std::int64_t>(budget_ms * 1000.0)));
   }
-  if (response.degraded) v.Set("degraded", JsonValue::Bool(true));
+  if (budget_ms < 0.0) {
+    // Already expired — the deterministic wire form of "this request's
+    // budget was spent before it reached the socket" (tests use it to pin
+    // the expired-in-queue path without sleeping).
+    return Deadline::After(std::chrono::microseconds(-1));
+  }
+  return Deadline::Infinite();
+}
+
+std::string EncodeResponse(const Response& response) {
+  std::string out;
+  out.reserve(64 + response.status.size() + response.error.size() +
+              response.domain.size() + response.canonical.size() +
+              response.canonical.size() / 16 + response.stats_json.size());
+  out.append("{\"id\":");
+  JsonAppendNumber(static_cast<double>(response.id), &out);
+  out.append(",\"status\":");
+  JsonEscape(response.status, &out);
+  if (!response.error.empty()) {
+    out.append(",\"error\":");
+    JsonEscape(response.error, &out);
+  }
+  if (response.degraded) out.append(",\"degraded\":true");
   if (!response.domain.empty()) {
-    v.Set("domain", JsonValue::Str(response.domain));
+    out.append(",\"domain\":");
+    JsonEscape(response.domain, &out);
   }
   if (!response.canonical.empty()) {
-    v.Set("canonical", JsonValue::Str(response.canonical));
+    out.append(",\"canonical\":");
+    JsonEscape(response.canonical, &out);
   }
   if (!response.stats_json.empty()) {
     // The stats dump is itself JSON; nest it as a real object (not a
     // quoted blob) so scrapers address fields as response.stats.answered.
+    out.append(",\"stats\":");
     auto stats = JsonValue::Parse(response.stats_json);
-    v.Set("stats", stats.ok() ? std::move(stats).value()
-                              : JsonValue::Str(response.stats_json));
+    if (stats.ok()) {
+      stats.value().DumpTo(&out);
+    } else {
+      JsonEscape(response.stats_json, &out);
+    }
   }
-  return v.Dump();
+  out.push_back('}');
+  return out;
 }
 
 Result<Response> DecodeResponse(std::string_view payload) {
@@ -155,9 +199,9 @@ Result<Response> DecodeResponse(std::string_view payload) {
     return Status::InvalidArgument("response is not a JSON object");
   }
   Response response;
-  const double id = v.GetNumber("id", 0.0);
-  if (id < 0.0) return Status::InvalidArgument("negative response id");
-  response.id = static_cast<std::uint64_t>(id);
+  auto id = DecodeId(v, "response");
+  if (!id.ok()) return id.status();
+  response.id = id.value();
   response.status = v.GetString("status");
   if (response.status.empty()) {
     return Status::InvalidArgument("response has no status");

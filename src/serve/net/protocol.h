@@ -20,10 +20,11 @@
 // budget_ms > 0 sets the request deadline (arrival + budget, propagated
 // into the engine's Deadline/CancelToken machinery); 0/absent = no
 // deadline; < 0 = an already-expired deadline (deterministic test hook for
-// the expired-in-queue path).
+// the expired-in-queue path); budget_ms >= kMaxBudgetMs (about 146 years)
+// = no deadline. An id outside [0, kMaxWireId = 2^53] is invalid_argument.
 //
 // Responses:
-//   {"id":7,"status":"ok","degraded":false,"domain":"cars",
+//   {"id":7,"status":"ok","domain":"cars",
 //    "canonical":"<CanonicalAskResultString>"}
 //   {"id":8,"status":"deadline_exceeded","error":"..."}
 //   {"id":9,"status":"ok","stats":{...}}
@@ -40,6 +41,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/deadline.h"
 #include "common/status.h"
 
 namespace cqads::serve::net {
@@ -48,6 +50,16 @@ namespace cqads::serve::net {
 /// responses are answer tables (KB); 16 MiB is far above anything legal,
 /// close below anything an attacker would like the server to buffer.
 inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
+
+/// The largest id a request or response may carry: 2^53, up to which every
+/// integer survives the trip through a JSON number (a double) unchanged.
+inline constexpr double kMaxWireId = 9007199254740992.0;
+
+/// Budgets from here up mean no deadline: 2^62 ns in ms (about 146 years).
+/// The server turns a budget into a steady-clock instant, arrival plus the
+/// budget in nanoseconds; below this bound that sum fits the clock's int64
+/// with 2^62 ns (its reading, time since boot) to spare.
+inline constexpr double kMaxBudgetMs = 4611686018427.387904;
 
 /// Appends one frame (length prefix + payload) to `out`.
 void AppendFrame(std::string_view payload, std::string* out);
@@ -105,10 +117,19 @@ struct Response {
 
 std::string EncodeRequest(const Request& request);
 /// Strict decode of an untrusted request payload: must be a JSON object
-/// with a string "method"; unknown members are ignored (forward compat).
+/// with a string "method" and an id within [0, kMaxWireId]; unknown members
+/// are ignored (forward compat).
 Result<Request> DecodeRequest(std::string_view payload);
 
+/// The request deadline a budget_ms sets, as the header comment above
+/// gives it: infinite for 0, NaN or >= kMaxBudgetMs, expired for < 0.
+Deadline BudgetToDeadline(double budget_ms);
+
+/// Writes the response object in one pass, members in the order id,
+/// status, error, degraded, domain, canonical, stats (empty or false ones
+/// left out); only the nested "stats" object goes through JsonValue.
 std::string EncodeResponse(const Response& response);
+/// Strict decode, with the same id range as DecodeRequest.
 Result<Response> DecodeResponse(std::string_view payload);
 
 /// "ok", "deadline_exceeded", ... — the lowercase wire form of a code.

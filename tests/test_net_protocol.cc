@@ -1,12 +1,22 @@
-// Protocol-layer tests: JSON parse/dump over adversarial input, frame
-// reassembly split at EVERY byte boundary, oversized/zero-frame rejection,
-// and request/response codec round trips — the pure-computation half of the
-// network front-end (no sockets; see test_net_serve.cc for the wire).
+// Protocol-layer tests: JSON parse/dump over adversarial input, the
+// escape scanner against a byte-at-a-time writer across every word
+// boundary, frame reassembly split at EVERY byte boundary, oversized/
+// zero-frame rejection, request/response codec round trips, the response
+// writer against the JsonValue tree, and the id and budget ranges — the
+// pure-computation half of the network front-end (no sockets; see
+// test_net_serve.cc for the wire).
 #include "serve/net/protocol.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -104,6 +114,123 @@ TEST(JsonTest, RejectsMalformedInput) {
   };
   for (const char* text : bad) {
     EXPECT_FALSE(JsonValue::Parse(text).ok()) << "accepted: " << text;
+  }
+}
+
+// JSON string escaping one byte at a time — the reference JsonEscape must
+// match byte for byte.
+std::string ReferenceEscape(std::string_view s) {
+  std::string out = "\"";
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(static_cast<char>(c));
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+TEST(JsonTest, EscapeAndParseAgreeWithByteAtATimeAcrossWordBoundaries) {
+  // Clean filler bytes, among them the neighbours of the quote (0x22), the
+  // backslash (0x5c) and 0x20, DEL, and bytes with the high bit set.
+  const std::string filler = "a!#[] \x7f\x80\xff\xc3\xa9Z";
+  for (std::size_t len = 0; len <= 40; ++len) {
+    std::string base;
+    for (std::size_t i = 0; i < len; ++i) {
+      base.push_back(filler[i % filler.size()]);
+    }
+    std::vector<std::string> cases = {base};
+    for (int c = 0; c < 256; ++c) cases.emplace_back(len, static_cast<char>(c));
+    for (std::size_t offset = 0; offset < std::min<std::size_t>(len, 18);
+         ++offset) {
+      for (int c = 0; c < 256; ++c) {
+        cases.push_back(base);
+        cases.back()[offset] = static_cast<char>(c);
+        if (c >= 0x20) continue;
+        // A raw control byte inside a literal is rejected where it sits.
+        const auto raw = JsonValue::Parse("\"" + cases.back() + "\"");
+        ASSERT_FALSE(raw.ok()) << "len " << len << " offset " << offset;
+        EXPECT_NE(raw.status().message().find(
+                      "raw control byte in string at byte " +
+                      std::to_string(offset + 1)),
+                  std::string::npos)
+            << raw.status();
+      }
+    }
+    for (const std::string& s : cases) {
+      std::string escaped;
+      JsonEscape(s, &escaped);
+      ASSERT_EQ(escaped, ReferenceEscape(s)) << "len " << len;
+      const auto back = JsonValue::Parse(escaped);
+      ASSERT_TRUE(back.ok()) << back.status() << " from " << escaped;
+      ASSERT_EQ(back.value().string_value(), s) << "len " << len;
+    }
+    // Unterminated, with and without a dangling backslash.
+    EXPECT_FALSE(JsonValue::Parse("\"" + base).ok()) << "len " << len;
+    EXPECT_FALSE(JsonValue::Parse("\"" + base + "\\").ok()) << "len " << len;
+  }
+}
+
+TEST(JsonTest, NumbersMatchPrintf) {
+  // Integral values below 2^53 print as "%" PRId64, other finite values as
+  // "%.17g", inf and nan as null.
+  const auto reference = [](double d) -> std::string {
+    if (!std::isfinite(d)) return "null";
+    char buf[40];
+    if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0) {
+      std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<std::int64_t>(d));
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.17g", d);
+    }
+    return buf;
+  };
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e16, 1e17, 1e21, 1e300,
+      9007199254740991.0, 9007199254740992.0, -9007199254740992.0,
+      Limits::infinity(), -Limits::infinity(), Limits::quiet_NaN(),
+      Limits::denorm_min(), Limits::min(), Limits::max(), -Limits::max()};
+  std::mt19937_64 bits(53);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t pattern = bits();
+    double d = 0.0;
+    std::memcpy(&d, &pattern, sizeof(d));
+    values.push_back(d);
+    values.push_back(static_cast<double>(static_cast<std::int64_t>(pattern) >>
+                                         (pattern % 64)));
+  }
+  for (double d : values) {
+    std::string out;
+    JsonAppendNumber(d, &out);
+    ASSERT_EQ(out, reference(d));
   }
 }
 
@@ -286,6 +413,129 @@ TEST(CodecTest, StatszStatsNestAsRealJson) {
   ASSERT_TRUE(inner.ok());
   ASSERT_NE(inner.value().Find("net"), nullptr);
   EXPECT_EQ(inner.value().Find("net")->GetNumber("frames_in"), 34.0);
+}
+
+// The response as the JsonValue tree writes it — EncodeResponse must keep
+// these bytes.
+std::string ReferenceEncodeResponse(const Response& response) {
+  JsonValue v = JsonValue::Object();
+  v.Set("id", JsonValue::Number(static_cast<double>(response.id)));
+  v.Set("status", JsonValue::Str(response.status));
+  if (!response.error.empty()) {
+    v.Set("error", JsonValue::Str(response.error));
+  }
+  if (response.degraded) v.Set("degraded", JsonValue::Bool(true));
+  if (!response.domain.empty()) {
+    v.Set("domain", JsonValue::Str(response.domain));
+  }
+  if (!response.canonical.empty()) {
+    v.Set("canonical", JsonValue::Str(response.canonical));
+  }
+  if (!response.stats_json.empty()) {
+    auto stats = JsonValue::Parse(response.stats_json);
+    v.Set("stats", stats.ok() ? std::move(stats).value()
+                              : JsonValue::Str(response.stats_json));
+  }
+  return v.Dump();
+}
+
+TEST(CodecTest, EncodeResponseMatchesTreeWriter) {
+  const std::uint64_t ids[] = {0, (std::uint64_t{1} << 53) - 1,
+                               std::uint64_t{1} << 53};
+  const std::string canonical =
+      "domain=cars\nsql=SELECT * FROM cars WHERE make = 'honda'\n"
+      "interpretation=\"red\" \\ honda\x01\t\xc3\xa9\ncontradiction=0\n"
+      "exact_count=1\nrow=4294967295 exact=1 rank_sim=2 measure=\n"
+      "row=0 exact=0 rank_sim=0.83333333333333337 measure=TI_Sim on Make\n";
+  const std::string stats[] = {
+      "", "{\"answered\":12,\"ratio\":0.1,\"net\":{\"frames_in\":34}}",
+      "not json: \"quoted\"\n"};
+  for (std::uint64_t id : ids) {
+    for (int mask = 0; mask < 16; ++mask) {
+      for (const std::string& stats_json : stats) {
+        Response response;
+        response.id = id;
+        if ((mask & 1) != 0) {
+          response.status = "overloaded";
+          response.error = "queue \"full\"\n";
+        }
+        response.degraded = (mask & 2) != 0;
+        if ((mask & 4) != 0) response.domain = "jewellery";
+        if ((mask & 8) != 0) response.canonical = canonical;
+        response.stats_json = stats_json;
+        const std::string encoded = EncodeResponse(response);
+        ASSERT_EQ(encoded, ReferenceEncodeResponse(response))
+            << "id " << id << " mask " << mask << " stats " << stats_json;
+        auto back = DecodeResponse(encoded);
+        ASSERT_TRUE(back.ok()) << back.status() << " from " << encoded;
+        EXPECT_EQ(back.value().id, id);
+        EXPECT_EQ(back.value().status, response.status);
+        EXPECT_EQ(back.value().error, response.error);
+        EXPECT_EQ(back.value().degraded, response.degraded);
+        EXPECT_EQ(back.value().domain, response.domain);
+        EXPECT_EQ(back.value().canonical, response.canonical);
+      }
+    }
+  }
+}
+
+TEST(CodecTest, IdsOutsideZeroTo2Pow53AreRejected) {
+  // Casting a double beyond uint64_t's range to it is undefined behaviour;
+  // past 2^53 a JSON number no longer carries every integer.
+  const char* bad[] = {"-1",    "-0.5",  "9007199254740994", "1e19",
+                       "1e300", "-1e300", "18446744073709551616"};
+  for (const char* id : bad) {
+    auto request = DecodeRequest(std::string("{\"id\":") + id +
+                                 ",\"method\":\"ask\",\"question\":\"q\"}");
+    ASSERT_FALSE(request.ok()) << id;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << id;
+    auto response =
+        DecodeResponse(std::string("{\"id\":") + id + ",\"status\":\"ok\"}");
+    ASSERT_FALSE(response.ok()) << id;
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument) << id;
+  }
+  const auto overflowing = DecodeRequest(
+      R"({"id":1e300,"method":"ask","question":"q","budget_ms":1e300})");
+  ASSERT_FALSE(overflowing.ok());
+  EXPECT_EQ(overflowing.status().code(), StatusCode::kInvalidArgument);
+
+  const std::pair<const char*, std::uint64_t> good[] = {
+      {"0", 0},
+      {"-0", 0},
+      {"9007199254740991", (std::uint64_t{1} << 53) - 1},
+      {"9007199254740992", std::uint64_t{1} << 53}};
+  for (const auto& [text, id] : good) {
+    auto request = DecodeRequest(std::string("{\"id\":") + text +
+                                 ",\"method\":\"ping\"}");
+    ASSERT_TRUE(request.ok()) << text << ": " << request.status();
+    EXPECT_EQ(request.value().id, id);
+    auto response =
+        DecodeResponse(std::string("{\"id\":") + text + ",\"status\":\"ok\"}");
+    ASSERT_TRUE(response.ok()) << text << ": " << response.status();
+    EXPECT_EQ(response.value().id, id);
+  }
+}
+
+TEST(CodecTest, BudgetsBeyondTheClockMeanNoDeadline) {
+  using std::chrono::milliseconds;
+  EXPECT_TRUE(BudgetToDeadline(0.0).is_infinite());
+  EXPECT_TRUE(BudgetToDeadline(std::nan("")).is_infinite());
+  EXPECT_TRUE(BudgetToDeadline(kMaxBudgetMs).is_infinite());
+  EXPECT_TRUE(BudgetToDeadline(1e300).is_infinite());
+  EXPECT_TRUE(
+      BudgetToDeadline(std::numeric_limits<double>::infinity()).is_infinite());
+
+  const Deadline longest = BudgetToDeadline(std::nextafter(kMaxBudgetMs, 0.0));
+  EXPECT_FALSE(longest.is_infinite());
+  EXPECT_FALSE(longest.expired());
+  EXPECT_GT(longest.remaining(), std::chrono::hours(24 * 365 * 145));
+
+  const Deadline brief = BudgetToDeadline(25.0);
+  EXPECT_FALSE(brief.is_infinite());
+  EXPECT_LE(brief.remaining(), milliseconds(25));
+
+  EXPECT_TRUE(BudgetToDeadline(-1.0).expired());
+  EXPECT_TRUE(BudgetToDeadline(-1e300).expired());
 }
 
 TEST(CodecTest, WireStatusNamesInvert) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -288,6 +289,53 @@ TEST_F(NetServeTest, MalformedJsonAnswersErrorAndKeepsConnectionOpen) {
   ASSERT_TRUE(got.ok() && got.value());
   EXPECT_EQ(server.value()->net_stats().bad_requests, 2u);
   EXPECT_EQ(server.value()->net_stats().protocol_errors, 0u);
+}
+
+TEST_F(NetServeTest, OutOfRangeIdAndBudgetOverTheSocket) {
+  NetServer::Options options;
+  options.unix_path = SocketPath();
+  auto server = StartServer(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto fd = cqads::net::UnixConnect(server.value()->unix_path());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+
+  // An id past 2^53 (here one no double-to-uint64_t cast may take) is
+  // refused with id 0; the largest id, asked with a budget past the
+  // clock's range, gets the in-process answer: no deadline.
+  const std::uint64_t max_id = std::uint64_t{1} << 53;
+  std::string wire;
+  AppendFrame(R"({"id":1e300,"method":"ask","question":"q","budget_ms":1e300})",
+              &wire);
+  AppendFrame(EncodeRequest(MakeAsk(max_id, (*questions_)[0], 1e300)), &wire);
+  ASSERT_TRUE(cqads::net::WriteFull(fd.value().get(), wire.data(), wire.size())
+                  .ok());
+
+  FrameDecoder decoder;
+  std::vector<Response> responses;
+  while (responses.size() < 2) {
+    char byte = 0;
+    auto got = cqads::net::ReadFull(fd.value().get(), &byte, 1);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(got.value()) << "server closed the connection";
+    decoder.Feed(&byte, 1);
+    std::string payload;
+    while (decoder.Pop(&payload) == FrameDecoder::Next::kFrame) {
+      auto response = DecodeResponse(payload);
+      ASSERT_TRUE(response.ok()) << response.status();
+      responses.push_back(std::move(response).value());
+    }
+  }
+  std::sort(responses.begin(), responses.end(),
+            [](const Response& a, const Response& b) { return a.id < b.id; });
+  EXPECT_EQ(responses[0].id, 0u);
+  EXPECT_EQ(responses[0].status, "invalid_argument");
+  EXPECT_EQ(responses[1].id, max_id);
+  ASSERT_EQ(responses[1].status, "ok") << responses[1].error;
+  auto expected = world_->engine().Ask((*questions_)[0]);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(responses[1].canonical,
+            core::CanonicalAskResultString(expected.value()));
+  EXPECT_EQ(server.value()->net_stats().bad_requests, 1u);
 }
 
 TEST_F(NetServeTest, OversizedFrameClosesConnectionButServerSurvives) {

@@ -1,9 +1,16 @@
 // Staged pipeline and snapshot tests: stage-by-stage equivalence with the
-// engine facade, per-stage timings, contradiction short-circuiting, and
-// snapshot lifecycle (version bumps, runtime sharing across generations).
+// engine facade, per-stage timings, contradiction short-circuiting,
+// snapshot lifecycle (version bumps, runtime sharing across generations),
+// and the exact bytes of the canonical answer string.
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <sstream>
 
 #include "common/rng.h"
 #include "core/cqads_engine.h"
@@ -147,6 +154,79 @@ TEST_F(PipelineTest, BuilderSnapshotAnswersWithoutEngine) {
   ASSERT_TRUE(QueryPipeline::Full().Run(*snap, &ctx).ok());
   EXPECT_EQ(ctx.result.domain, "cars");
   EXPECT_FALSE(ctx.result.answers.empty());
+}
+
+// The canonical form as std::ostream writes it at precision 17 — the
+// reference CanonicalAskResultString must match byte for byte, since the
+// parity gates and the serving benchmark's ground truth hash these bytes.
+std::string ReferenceCanonical(const AskResult& result) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "domain=" << result.domain << '\n'
+     << "sql=" << result.sql << '\n'
+     << "interpretation=" << result.interpretation << '\n'
+     << "contradiction=" << (result.contradiction ? 1 : 0) << '\n'
+     << "exact_count=" << result.exact_count << '\n';
+  for (const Answer& a : result.answers) {
+    os << "row=" << a.row << " exact=" << (a.exact ? 1 : 0)
+       << " rank_sim=" << a.rank_sim << " measure=" << a.measure << '\n';
+  }
+  return os.str();
+}
+
+TEST(CanonicalStringTest, MatchesStreamWriterOnEdgeValuesAndText) {
+  using Limits = std::numeric_limits<double>;
+  const double doubles[] = {
+      0.0,          -0.0,         Limits::infinity(), -Limits::infinity(),
+      Limits::quiet_NaN(),        -Limits::quiet_NaN(),
+      Limits::denorm_min(),       -Limits::denorm_min(),
+      Limits::min(),              Limits::max(),      -Limits::max(),
+      0.1,          1.0 / 3.0,    2.0 / 3.0,          1e16,
+      1e17,         1e21,         1e-5,               123456.789,
+      1.0,          3.0,          0.5,                -2.25};
+  AskResult result;
+  result.domain = "cars";
+  result.sql = "SELECT * FROM cars WHERE make = 'honda' AND note = \"a\\b\"";
+  result.interpretation = "line one\nline \"two\"\t\xc3\xa9\xe2\x82\xac";
+  result.exact_count = std::numeric_limits<std::size_t>::max();
+  const db::RowId rows[] = {0, 1, 9, 10, std::numeric_limits<db::RowId>::max()};
+  std::size_t i = 0;
+  for (double d : doubles) {
+    Answer a;
+    a.row = rows[i % 5];
+    a.exact = i % 2 == 0;
+    a.rank_sim = d;
+    a.measure = i % 3 == 0 ? "" : "TI_Sim on Make \"and\"\nModel \xc3\xa9";
+    result.answers.push_back(a);
+    ++i;
+  }
+  EXPECT_EQ(CanonicalAskResultString(result), ReferenceCanonical(result));
+
+  result.contradiction = true;
+  result.exact_count = 0;
+  EXPECT_EQ(CanonicalAskResultString(result), ReferenceCanonical(result));
+
+  AskResult empty;
+  EXPECT_EQ(CanonicalAskResultString(empty), ReferenceCanonical(empty));
+}
+
+TEST(CanonicalStringTest, MatchesStreamWriterOnRandomBitPatterns) {
+  // 1M doubles drawn as raw 64-bit patterns: every exponent, both signs,
+  // NaN payloads and denormals, in answers of 4096 rows.
+  std::mt19937_64 bits(20260417);
+  AskResult result;
+  result.domain = "jewellery";
+  result.answers.resize(4096);
+  for (int batch = 0; batch < 245; ++batch) {
+    for (Answer& a : result.answers) {
+      const std::uint64_t pattern = bits();
+      std::memcpy(&a.rank_sim, &pattern, sizeof(pattern));
+      a.row = static_cast<db::RowId>(pattern >> 32);
+      a.exact = (pattern & 1) != 0;
+    }
+    ASSERT_EQ(CanonicalAskResultString(result), ReferenceCanonical(result))
+        << "batch " << batch;
+  }
 }
 
 }  // namespace

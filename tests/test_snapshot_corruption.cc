@@ -49,7 +49,10 @@ std::vector<unsigned char> Slurp(const std::string& path) {
 void Spit(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // An empty vector's data() may be null, which fwrite must not be given.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
