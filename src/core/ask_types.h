@@ -100,16 +100,20 @@ struct ParsedQuestion {
   /// is what lets the prepared-query cache memoize plans per snapshot
   /// version for free.
   db::exec::PlanPtr plan;
-  /// Compiled plans for the §4.3.1 N-1 relaxations (entry d drops unit d),
-  /// precompiled when the question is relaxable (>= 2 units, no
-  /// superlative) so cache hits skip per-request recompilation. Empty
-  /// otherwise.
-  std::vector<db::exec::PlanPtr> relaxed_plans;
-  /// Partition-parallel forms of `plan` / `relaxed_plans`, compiled instead
-  /// of the monolithic forms when the domain's store is partitioned
-  /// (EngineOptions::partition_rows > 0). Null/empty otherwise.
+  /// Partition-parallel form of `plan`, compiled instead of it when the
+  /// domain's store is partitioned (EngineOptions::partition_rows > 0).
+  /// Null otherwise.
   db::exec::PartitionedPlanPtr part_plan;
-  std::vector<db::exec::PartitionedPlanPtr> relaxed_part_plans;
+  /// The §4.3.1 N-1 relaxation's building blocks, compiled when the
+  /// question is relaxable (>= 2 units, no superlative) so cache hits
+  /// replay partial retrieval without compiling: entry i selects the rows
+  /// of `assembled.units[i]` alone, `fixed_plan` those of the AND of
+  /// `assembled.fixed` (null when there are no fixed fragments). Relaxation
+  /// d is then (fixed) AND (every unit but d), combined as bitmaps at rank
+  /// time. Always monolithic plans, also on partitioned stores. Empty/null
+  /// otherwise.
+  std::vector<db::exec::PlanPtr> unit_plans;
+  db::exec::PlanPtr fixed_plan;
 };
 
 /// One retrieved answer.

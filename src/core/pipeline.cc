@@ -15,6 +15,8 @@
 #include "db/exec/rank_bounds.h"
 #include "db/exec/rowset_ops.h"
 #include "db/exec/topk.h"
+#include "db/exec/vector_kernels.h"
+#include "db/row_match.h"
 #include "db/sql_writer.h"
 #include "text/tokenizer.h"
 
@@ -32,8 +34,9 @@ Result<const DomainRuntime*> RequireRuntime(const EngineSnapshot& s,
 
 /// The §4.3.1 N-1 relaxation of a parsed question: all units except
 /// `dropped`, plus the never-dropped fixed fragments, uncapped (ranking
-/// happens before the answer cap). One definition shared by the plan stage
-/// (precompilation) and the rank stage (seed path).
+/// happens before the answer cap). The serial rank path runs it as one
+/// query; the top-k path computes the same row set from per-fragment
+/// bitmaps (see RankStage::Run).
 db::Query MakeRelaxedQuery(const ParsedQuestion& parsed, std::size_t dropped,
                            std::size_t table_rows) {
   const auto& units = parsed.assembled.units;
@@ -55,6 +58,22 @@ bool IsRelaxable(const ParsedQuestion& parsed) {
   return parsed.assembled.units.size() >= 2 &&
          !parsed.query.superlative.has_value() &&
          !parsed.assembled.contradiction;
+}
+
+/// The AND of the never-dropped fixed fragments; null when there are none.
+db::ExprPtr FixedExpr(const ParsedQuestion& parsed) {
+  const auto& fixed = parsed.assembled.fixed;
+  return fixed.empty() ? nullptr : db::Expr::MakeAnd(fixed);
+}
+
+/// Compiles one relaxation fragment (a unit, or FixedExpr) for its raw row
+/// set over the monolithic store: no superlative, no cap.
+Result<db::exec::PlanPtr> CompileFragment(const DomainRuntime& rt,
+                                          db::ExprPtr expr) {
+  db::Query query;
+  query.where = std::move(expr);
+  query.limit = rt.table->num_rows();
+  return rt.planner->Compile(query);
 }
 
 /// The partitioned execution path applies iff the runtime is sharded (the
@@ -129,6 +148,75 @@ Result<db::QueryResult> RunQuery(const EngineSnapshot& s,
 // Top-k rank machinery (EngineOptions::use_topk_rank). The serial
 // collect-all + sort path below stays frozen as the differential oracle.
 // ---------------------------------------------------------------------------
+
+/// Words of a row bitmap per rank block: block b's rows are words
+/// [b * kRankBlockWords, (b + 1) * kRankBlockWords).
+constexpr std::size_t kRankBlockWords = db::exec::kRankBlockRows / 64;
+static_assert(db::exec::kRankBlockRows % 64 == 0,
+              "rank blocks must be word-aligned in a row bitmap");
+
+/// Rows of relaxation fragment `f` of `parsed` as a bitmap over the global
+/// row space [0, total_rows). Fragment f < units.size() is unit f alone,
+/// fragment units.size() the AND of the fixed fragments (every row when
+/// there are none). Base rows come from the fragment's plan (compiled here
+/// when the parse carries none and planning is on, the seed executor when
+/// it is off), live delta rows from the seed row semantics
+/// (db/row_match.h), exactly as RunQuery's delta union would. Retired base
+/// rows are not masked here.
+Result<db::exec::RowBitmap> FragmentRows(const EngineSnapshot& s,
+                                         const DomainRuntime& rt,
+                                         const ParsedQuestion& parsed,
+                                         std::size_t f, std::size_t total_rows,
+                                         db::ExecStats* stats) {
+  const EngineOptions& options = s.options();
+  const auto& units = parsed.assembled.units;
+  const db::ExprPtr expr = f < units.size() ? units[f].expr : FixedExpr(parsed);
+  const db::exec::PhysicalPlan* plan =
+      f == units.size()            ? parsed.fixed_plan.get()
+      : f < parsed.unit_plans.size() ? parsed.unit_plans[f].get()
+                                     : nullptr;
+  const std::size_t base_rows = rt.table->num_rows();
+  db::exec::RowBitmap rows(base_rows);
+  if (expr == nullptr) {
+    rows.ComplementAll();
+  } else {
+    db::exec::PlanPtr compiled;
+    if (plan == nullptr && options.use_planner) {
+      auto c = CompileFragment(rt, expr);
+      if (!c.ok()) return c.status();
+      compiled = std::move(c).value();
+      plan = compiled.get();
+    }
+    if (plan != nullptr) {
+      auto lazy = plan->ExecuteLazy(stats, options.use_vector_kernels);
+      if (!lazy.ok()) return lazy.status();
+      rows = std::move(lazy).value().ToBitmap(base_rows);
+    } else {
+      db::Query query;
+      query.where = expr;
+      query.limit = base_rows;
+      auto seed = db::ExecuteQuery(*rt.table, query);
+      if (!seed.ok()) return seed.status();
+      *stats += seed.value().stats;
+      rows = db::exec::RowBitmap::FromSet(seed.value().rows, base_rows);
+    }
+  }
+  rows.Grow(total_rows);
+  if (const db::DeltaStore* delta = rt.live_delta()) {
+    const db::Schema& schema = rt.table->schema();
+    std::size_t scanned = 0;
+    for (std::size_t i = 0; i < delta->num_rows(); ++i) {
+      if (delta->delta_retired(i)) continue;
+      ++scanned;
+      if (expr == nullptr ||
+          db::RecordMatchesExpr(schema, delta->record(i), *expr)) {
+        rows.Set(static_cast<db::RowId>(base_rows + i));
+      }
+    }
+    stats->rows_verified += scanned;
+  }
+  return rows;
+}
 
 /// Below this many rows to score, computing per-block bounds (a per-code
 /// representative sweep over the attribute dictionary) can cost more than
@@ -374,12 +462,11 @@ Status PlanStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   if (!rt_result.ok()) return rt_result.status();
   const DomainRuntime& rt = *rt_result.value();
 
-  // Sharded runtimes compile the partition-parallel plan form; monolithic
-  // runtimes the single-store form. Either way the compiled artifacts ride
-  // on ParsedQuestion, so the prepared cache memoizes them per snapshot
-  // version.
-  const bool partitioned = UsePartitions(rt);
-  if (partitioned) {
+  // Sharded runtimes compile the exact query's partition-parallel plan
+  // form; monolithic runtimes the single-store form. Either way the
+  // compiled artifacts ride on ParsedQuestion, so the prepared cache
+  // memoizes them per snapshot version.
+  if (UsePartitions(rt)) {
     auto plan = rt.parallel_planner->Compile(ctx->parsed.query);
     if (!plan.ok()) return plan.status();
     ctx->parsed.part_plan = std::move(plan).value();
@@ -389,27 +476,23 @@ Status PlanStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     ctx->parsed.plan = std::move(plan).value();
   }
 
-  // Precompile the N-1 relaxations too, so a prepared-cache hit replays
-  // partial retrieval without any per-request compilation. Eager by
-  // design: a cached ParsedQuestion is immutable and shared across
+  // Compile the N-1 relaxation's fragments too — one plan per unit plus
+  // one for the fixed fragments, which RankStage combines as bitmaps — so a
+  // prepared-cache hit replays partial retrieval without compiling. Eager
+  // by design: a cached ParsedQuestion is immutable and shared across
   // threads, so lazy fill-at-rank-time would need synchronization on the
-  // hot path; and on the paper workload most questions do trigger partial
-  // retrieval, so the compile is rarely wasted (the parity benches show a
-  // net speedup even on uncached unique-question streams).
+  // hot path, and on the paper workload most questions do rank partials.
+  // Always monolithic: the rank pass ANDs whole-table bitmaps.
   if (s.options().enable_partial && IsRelaxable(ctx->parsed)) {
-    const std::size_t n_units = ctx->parsed.assembled.units.size();
-    for (std::size_t dropped = 0; dropped < n_units; ++dropped) {
-      db::Query relaxed_query =
-          MakeRelaxedQuery(ctx->parsed, dropped, rt.table->num_rows());
-      if (partitioned) {
-        auto relaxed = rt.parallel_planner->Compile(relaxed_query);
-        if (!relaxed.ok()) return relaxed.status();
-        ctx->parsed.relaxed_part_plans.push_back(std::move(relaxed).value());
-      } else {
-        auto relaxed = rt.planner->Compile(relaxed_query);
-        if (!relaxed.ok()) return relaxed.status();
-        ctx->parsed.relaxed_plans.push_back(std::move(relaxed).value());
-      }
+    for (const MatchUnit& unit : ctx->parsed.assembled.units) {
+      auto plan = CompileFragment(rt, unit.expr);
+      if (!plan.ok()) return plan.status();
+      ctx->parsed.unit_plans.push_back(std::move(plan).value());
+    }
+    if (db::ExprPtr fixed = FixedExpr(ctx->parsed)) {
+      auto plan = CompileFragment(rt, std::move(fixed));
+      if (!plan.ok()) return plan.status();
+      ctx->parsed.fixed_plan = std::move(plan).value();
     }
   }
   return Status::OK();
@@ -595,78 +678,103 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     };
 
     if (units.size() >= 2) {
-      // N-1 relaxation passes stay SEQUENTIAL and dedup in row order — the
-      // first pass that reaches a row owns its measure label, exactly like
-      // the serial path. Only the scoring inside a pass fans out.
-      std::vector<db::RowId> cand_base, cand_delta;
-      // A maximal run of a pass's base candidates inside one rank block:
-      // cand_base[begin, end), all in block `block`.
-      struct BlockRun {
-        std::size_t begin, end, block;
-      };
-      std::vector<BlockRun> runs;
-      for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
+      // N-1 relaxation as set algebra. Relaxation d selects F AND every
+      // unit but d (F: the fixed fragments), which is MakeRelaxedQuery(d)'s
+      // row set, so each fragment is evaluated ONCE per request as a bitmap
+      // over the global row space and every pass is word-parallel ANDs.
+      // Tombstones: retired delta rows never enter a fragment, retired base
+      // rows are cleared from F once.
+      const std::size_t n_units = units.size();
+      std::vector<db::exec::RowBitmap> frag;  // units 0..N-1, then F
+      std::vector<char> empty;
+      for (std::size_t f = 0; f <= n_units; ++f) {
         if (control.Expired()) {
           degraded = true;
           break;
         }
-        const db::exec::PartitionedPlan* part_plan =
-            dropped < parsed.relaxed_part_plans.size()
-                ? parsed.relaxed_part_plans[dropped].get()
-                : nullptr;
-        const db::exec::PhysicalPlan* plan =
-            dropped < parsed.relaxed_plans.size()
-                ? parsed.relaxed_plans[dropped].get()
-                : nullptr;
-        auto rel =
-            RunQuery(s, rt, MakeRelaxedQuery(parsed, dropped, total_rows),
-                     part_plan, plan, nullptr, &control);
-        if (!rel.ok()) {
-          if (rel.status().code() == StatusCode::kDeadlineExceeded) {
-            degraded = true;
-            break;
-          }
-          continue;
+        auto rows = FragmentRows(s, rt, parsed, f, total_rows, &out.stats);
+        // A fragment that cannot be evaluated selects nothing: the passes
+        // that keep it are skipped, as a failing relaxed query skipped its
+        // pass.
+        frag.push_back(rows.ok() ? std::move(rows).value()
+                                 : db::exec::RowBitmap(total_rows));
+        empty.push_back(!frag.back().AnySet());
+      }
+      if (!degraded && delta != nullptr) {
+        for (db::RowId r : delta->retired_base()) frag[n_units].Reset(r);
+      }
+
+      // The word holding row `base_rows` may hold base and delta rows both:
+      // block runs read its low bits, the delta sweep its high bits.
+      const std::size_t n_words = already.word_count();
+      const std::size_t base_words = (base_rows + 63) / 64;
+      const std::size_t tail_word = base_rows / 64;
+      const std::uint64_t tail_base_bits =
+          (std::uint64_t{1} << (base_rows % 64)) - 1;
+      std::vector<std::uint64_t> cand(n_words);  // this pass's new rows
+      auto base_word = [&](std::size_t w) {
+        return w == tail_word ? cand[w] & tail_base_bits : cand[w];
+      };
+      std::vector<const std::uint64_t*> kept;
+      // A rank block holding `rows` of the pass's base candidates.
+      struct BlockRun {
+        std::size_t block, rows;
+      };
+      std::vector<BlockRun> runs;
+      for (std::size_t dropped = 0; !degraded && dropped < n_units;
+           ++dropped) {
+        if (control.Expired()) {
+          degraded = true;
+          break;
         }
-        out.stats += rel.value().stats;
-        cand_base.clear();
-        cand_delta.clear();
-        for (db::RowId row : rel.value().rows) {
-          if (already.Test(row)) continue;
-          already.Set(row);
-          (row < base_rows ? cand_base : cand_delta).push_back(row);
+        kept.clear();
+        bool empty_pass = false;
+        for (std::size_t f = 0; f <= n_units; ++f) {
+          if (f == dropped) continue;
+          empty_pass = empty_pass || empty[f];
+          kept.push_back(frag[f].word_data());
+        }
+        if (empty_pass) continue;
+        // Passes run in d order and dedup against every earlier pass (and
+        // the exact answers), so the first pass to reach a row owns its
+        // measure label, exactly like the serial path.
+        std::uint64_t* seen = already.word_data();
+        for (std::size_t w = 0; w < n_words; ++w) {
+          std::uint64_t pass = kept[0][w];
+          for (std::size_t j = 1; j < kept.size(); ++j) pass &= kept[j][w];
+          cand[w] = pass & ~seen[w];
+          seen[w] |= pass;
+        }
+        runs.clear();
+        std::size_t n_base = 0;
+        for (std::size_t w_lo = 0; w_lo < base_words; w_lo += kRankBlockWords) {
+          const std::size_t w_hi = std::min(w_lo + kRankBlockWords, base_words);
+          std::size_t rows = 0;
+          for (std::size_t w = w_lo; w < w_hi; ++w) {
+            rows += db::exec::PopCount64(base_word(w));
+          }
+          if (rows != 0) runs.push_back(BlockRun{w_lo / kRankBlockWords, rows});
+          n_base += rows;
         }
         const bool prunable =
-            rb != nullptr && cand_base.size() >= kMinRankRowsForBounds &&
+            rb != nullptr && n_base >= kMinRankRowsForBounds &&
             scorer->ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
-        // Candidates arrive in row order, so same-block runs are
-        // contiguous. A prunable pass visits its runs best bound first
-        // (stable: equal bounds keep row order), so the threshold nears its
-        // final value in the first block scored and later blocks prune
-        // against it. Order never changes the answer: TopK keeps the exact
-        // (score, row) prefix whatever the push order, and a block is
-        // skipped only when its bound is STRICTLY below the threshold.
-        runs.clear();
-        for (std::size_t i = 0; i < cand_base.size();) {
-          const std::size_t b = cand_base[i] / db::exec::kRankBlockRows;
-          std::size_t j = i + 1;
-          while (j < cand_base.size() &&
-                 cand_base[j] / db::exec::kRankBlockRows == b) {
-            ++j;
-          }
-          runs.push_back(BlockRun{i, j, b});
-          i = j;
-        }
+        // A prunable pass visits its blocks best bound first (stable: equal
+        // bounds keep row order), so the threshold nears its final value in
+        // the first block scored and later blocks prune against it. Order
+        // never changes the answer: TopK keeps the exact (score, row) prefix
+        // whatever the push order, and a block is skipped only when its
+        // bound is STRICTLY below the threshold.
         if (prunable) {
           std::stable_sort(runs.begin(), runs.end(),
                            [&](const BlockRun& a, const BlockRun& b) {
                              return ub[a.block] > ub[b.block];
                            });
         }
-        const bool par_pass = runner != nullptr &&
-                              cand_base.size() >=
-                                  db::exec::kMinRowsForParallelExec;
-        // One run per morsel; the serial pass is the same loop run inline.
+        const bool par_pass =
+            runner != nullptr && n_base >= db::exec::kMinRowsForParallelExec;
+        // One block per morsel; the serial pass is the same loop run inline.
+        // Row ids are gathered only for blocks that are scored.
         auto body = [&, dropped](std::size_t m) {
           const BlockRun& run = runs[m];
           const std::size_t s_idx = slots.Acquire();
@@ -675,11 +783,22 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
               exact_part + ub[run.block] <
                   shared_threshold.load(std::memory_order_relaxed)) {
             ++sl.blocks_skipped;
-            sl.rows_pruned += run.end - run.begin;
+            sl.rows_pruned += run.rows;
           } else {
             ++sl.blocks_visited;
-            score_and_push(sl, cand_base.data() + run.begin,
-                           run.end - run.begin, dropped,
+            sl.rows.resize(run.rows);
+            db::RowId* dst = sl.rows.data();
+            const std::size_t w_lo = run.block * kRankBlockWords;
+            const std::size_t w_hi =
+                std::min(w_lo + kRankBlockWords, base_words);
+            for (std::size_t w = w_lo; w < w_hi; ++w) {
+              for (std::uint64_t bits = base_word(w); bits != 0;
+                   bits &= bits - 1) {
+                *dst++ = static_cast<db::RowId>(w * 64 +
+                                                __builtin_ctzll(bits));
+              }
+            }
+            score_and_push(sl, sl.rows.data(), run.rows, dropped,
                            /*require_positive=*/false);
           }
           slots.Release(s_idx);
@@ -690,8 +809,15 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
           degraded = true;
           break;
         }
-        for (db::RowId row : cand_delta) {
-          push_delta_row(row, dropped, /*require_positive=*/false);
+        // Delta candidates: the bits at or past base_rows, ascending.
+        for (std::size_t w = tail_word; delta != nullptr && w < n_words; ++w) {
+          std::uint64_t bits = w == tail_word ? cand[w] & ~tail_base_bits
+                                              : cand[w];
+          for (; bits != 0; bits &= bits - 1) {
+            push_delta_row(
+                static_cast<db::RowId>(w * 64 + __builtin_ctzll(bits)),
+                dropped, /*require_positive=*/false);
+          }
         }
       }
     } else {
@@ -810,24 +936,16 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     batch.clear();
   };
   if (units.size() >= 2) {
-    // N-1: drop each unit in turn and evaluate the remaining conditions —
-    // through the relaxation plans PlanStage precompiled (and the cache
-    // memoized) when available; RunQuery unions the delta when one is live.
+    // N-1: drop each unit in turn and evaluate the remaining conditions as
+    // one query, compiled on demand; RunQuery unions the delta when one is
+    // live.
     for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
       if (control.Expired()) {
         out.degraded = true;
         break;
       }
-      const db::exec::PartitionedPlan* part_plan =
-          dropped < parsed.relaxed_part_plans.size()
-              ? parsed.relaxed_part_plans[dropped].get()
-              : nullptr;
-      const db::exec::PhysicalPlan* plan =
-          dropped < parsed.relaxed_plans.size()
-              ? parsed.relaxed_plans[dropped].get()
-              : nullptr;
       auto rel = RunQuery(s, rt, MakeRelaxedQuery(parsed, dropped, total_rows),
-                          part_plan, plan, nullptr, &control);
+                          nullptr, nullptr, nullptr, &control);
       if (!rel.ok()) {
         if (rel.status().code() == StatusCode::kDeadlineExceeded) {
           out.degraded = true;

@@ -169,10 +169,13 @@ class RenderSqlStage : public PipelineStage {
 };
 
 /// Compiles the executable query into a cost-aware physical plan
-/// (db/exec/planner.h) over the domain's column store. Part of the
-/// parse-side pipeline, so the prepared-query cache memoizes compiled plans
-/// per snapshot version along with the rest of the ParsedQuestion. No-op
-/// when EngineOptions::use_planner is off.
+/// (db/exec/planner.h) over the domain's column store, partition-parallel
+/// on a sharded store. For a relaxable question it also compiles the N-1
+/// relaxation's fragments: one monolithic plan per match unit and one for
+/// the fixed fragments, which RankStage combines. Part of the parse-side
+/// pipeline, so the prepared-query cache memoizes compiled plans per
+/// snapshot version along with the rest of the ParsedQuestion. No-op when
+/// EngineOptions::use_planner is off.
 class PlanStage : public PipelineStage {
  public:
   const char* name() const override { return "plan"; }
@@ -189,9 +192,13 @@ class ExecuteStage : public PipelineStage {
 };
 
 /// §4.3.1-4.3.2: N-1 partial retrieval ranked by Rank_Sim, capped at 30.
-/// Degradable: under deadline pressure it stops after the best-so-far
-/// relaxation pass (the partials collected so far are still sorted and
-/// appended) and marks the result degraded rather than returning nothing.
+/// The top-k path evaluates each unit and the fixed fragments once, as row
+/// bitmaps, and builds relaxation d as the AND of the fixed fragments and
+/// every unit but d, word by word; the serial oracle (use_topk_rank off)
+/// runs each relaxation as its own query. Degradable: under deadline
+/// pressure it stops after the best-so-far relaxation pass (the partials
+/// collected so far are still sorted and appended) and marks the result
+/// degraded rather than returning nothing.
 class RankStage : public PipelineStage {
  public:
   const char* name() const override { return "rank"; }

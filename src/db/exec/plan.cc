@@ -560,14 +560,21 @@ PhysicalPlan::PhysicalPlan(const Table* table, PlanNodePtr root,
       superlative_(superlative),
       limit_(limit) {}
 
-Result<RowSet> PhysicalPlan::ExecuteRowSet(ExecStats* stats,
-                                           bool vectorize) const {
+Result<LazyRowSet> PhysicalPlan::ExecuteLazy(ExecStats* stats,
+                                             bool vectorize) const {
   if (!table_->indexes_built()) {
     return Status::FailedPrecondition("table indexes not built");
   }
-  if (root_ == nullptr) return table_->AllRows();
-  if (vectorize) return root_->ExecuteLazy(stats).ToRows();
-  return root_->Execute(stats);
+  if (root_ == nullptr) return LazyRowSet::FromRows(table_->AllRows());
+  if (vectorize) return root_->ExecuteLazy(stats);
+  return LazyRowSet::FromRows(root_->Execute(stats));
+}
+
+Result<RowSet> PhysicalPlan::ExecuteRowSet(ExecStats* stats,
+                                           bool vectorize) const {
+  auto lazy = ExecuteLazy(stats, vectorize);
+  if (!lazy.ok()) return lazy.status();
+  return std::move(lazy).value().ToRows();
 }
 
 Result<QueryResult> PhysicalPlan::Execute(bool vectorize) const {

@@ -241,6 +241,12 @@ class PhysicalPlan {
   /// superlative should have kept).
   Result<RowSet> ExecuteRowSet(ExecStats* stats, bool vectorize = true) const;
 
+  /// The same raw row set in the form the root produced it: the vectorized
+  /// path hands over a dense root's bitmap without materializing row ids
+  /// (the N-1 rank pass combines per-unit bitmaps word by word); the scalar
+  /// path and sparse roots yield the sorted vector.
+  Result<LazyRowSet> ExecuteLazy(ExecStats* stats, bool vectorize = true) const;
+
   const std::optional<Superlative>& superlative() const { return superlative_; }
   std::size_t limit() const { return limit_; }
 

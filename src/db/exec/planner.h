@@ -42,7 +42,7 @@ class Planner {
   /// out-of-range attributes or when the table's indexes are not built.
   Result<PlanPtr> Compile(const Query& query) const;
 
-  /// Compile + Execute in one step (ad-hoc queries, e.g. N-1 relaxation).
+  /// Compile + Execute in one step (ad-hoc queries in tests and benches).
   Result<QueryResult> Run(const Query& query) const;
 
  private:

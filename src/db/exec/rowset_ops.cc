@@ -1,5 +1,7 @@
 #include "db/exec/rowset_ops.h"
 
+#include "db/exec/vector_kernels.h"
+
 namespace cqads::db::exec {
 
 namespace {
@@ -12,8 +14,33 @@ bool UseBitmap(const RowSet& a, const RowSet& b, std::size_t universe) {
 
 RowBitmap RowBitmap::FromSet(const RowSet& set, std::size_t universe) {
   RowBitmap bm(universe);
-  for (RowId r : set) bm.Set(r);
+  // The current word accumulates in a register and is stored, never
+  // loaded, after every row: no read-modify-write chain through memory,
+  // and no branch on where a word ends (which mispredicts on scattered
+  // sets). Correct because `set` is ascending: a word's rows are adjacent.
+  std::uint64_t* words = bm.words_.data();
+  std::uint64_t w = 0;
+  std::size_t current = 0;
+  for (RowId r : set) {
+    const std::size_t wi = r / 64;
+    const std::uint64_t keep = -static_cast<std::uint64_t>(wi == current);
+    w = (w & keep) | (std::uint64_t{1} << (r % 64));
+    words[wi] = w;
+    current = wi;
+  }
   return bm;
+}
+
+bool RowBitmap::AnySet() const {
+  for (std::uint64_t w : words_) {
+    if (w != 0) return true;
+  }
+  return false;
+}
+
+void RowBitmap::Grow(std::size_t universe) {
+  universe_ = universe;
+  words_.resize((universe + 63) / 64, 0);
 }
 
 void RowBitmap::UnionWith(const RowBitmap& other) {
@@ -45,18 +72,17 @@ void RowBitmap::ComplementAll() {
 
 std::size_t RowBitmap::Count() const {
   std::size_t n = 0;
-  for (std::uint64_t w : words_) n += __builtin_popcountll(w);
+  for (std::uint64_t w : words_) n += PopCount64(w);
   return n;
 }
 
 RowSet RowBitmap::ToSet() const {
-  RowSet out;
-  out.reserve(Count());
+  RowSet out(Count());
+  RowId* dst = out.data();
   for (std::size_t wi = 0; wi < words_.size(); ++wi) {
     std::uint64_t w = words_[wi];
     while (w != 0) {
-      const int bit = __builtin_ctzll(w);
-      out.push_back(static_cast<RowId>(wi * 64 + bit));
+      *dst++ = static_cast<RowId>(wi * 64 + __builtin_ctzll(w));
       w &= w - 1;
     }
   }
@@ -82,6 +108,13 @@ std::size_t LazyRowSet::Count() const {
 RowSet LazyRowSet::ToRows() && {
   if (bitmap) return bitmap->ToSet();
   return std::move(rows);
+}
+
+RowBitmap LazyRowSet::ToBitmap(std::size_t universe) && {
+  if (!bitmap) return RowBitmap::FromSet(rows, universe);
+  RowBitmap bm = std::move(*bitmap);
+  bm.Grow(universe);
+  return bm;
 }
 
 void LazyRowSet::IntersectWith(LazyRowSet other, std::size_t universe) {
@@ -148,6 +181,10 @@ void LazyRowSet::ComplementWithin(std::size_t universe) {
 }
 
 RowSet UnionSets(const RowSet& a, const RowSet& b, std::size_t universe) {
+  // IndexScanNode unions its first key into an empty set: a copy, not a
+  // round trip through two bitmaps.
+  if (a.empty()) return b;
+  if (b.empty()) return a;
   if (!UseBitmap(a, b, universe)) return Union(a, b);
   RowBitmap bm = RowBitmap::FromSet(a, universe);
   bm.UnionWith(RowBitmap::FromSet(b, universe));

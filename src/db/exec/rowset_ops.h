@@ -48,14 +48,21 @@ class RowBitmap {
   explicit RowBitmap(std::size_t universe)
       : universe_(universe), words_((universe + 63) / 64, 0) {}
 
+  /// `set` must be ascending, as every RowSet is.
   static RowBitmap FromSet(const RowSet& set, std::size_t universe);
 
   std::size_t universe() const { return universe_; }
 
   void Set(RowId r) { words_[r / 64] |= std::uint64_t{1} << (r % 64); }
+  void Reset(RowId r) { words_[r / 64] &= ~(std::uint64_t{1} << (r % 64)); }
   bool Test(RowId r) const {
     return (words_[r / 64] >> (r % 64)) & std::uint64_t{1};
   }
+  bool AnySet() const;
+
+  /// Widens the universe to `universe` (>= the current one); the added rows
+  /// start clear.
+  void Grow(std::size_t universe);
 
   void UnionWith(const RowBitmap& other);
   void IntersectWith(const RowBitmap& other);
@@ -103,6 +110,9 @@ struct LazyRowSet {
 
   /// Materializes the sorted, duplicate-free vector form (consuming).
   RowSet ToRows() &&;
+  /// Materializes the bitmap form over [0, universe), universe >= the
+  /// producer's (consuming; a bitmap is widened in place, not copied).
+  RowBitmap ToBitmap(std::size_t universe) &&;
 
   /// In-place algebra over universe [0, n). A bitmap∩vector mix stays
   /// sparse (the result is a subset of the vector side); bitmap∪anything

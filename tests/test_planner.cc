@@ -11,6 +11,7 @@
 #include "db/compare.h"
 #include "db/exec/rowset_ops.h"
 #include "db/exec/table_stats.h"
+#include "db/exec/vector_kernels.h"
 #include "db/executor.h"
 #include "test_fixtures.h"
 
@@ -132,24 +133,156 @@ TEST(RowSetOpsTest, BitmapRoundTrip) {
   EXPECT_EQ(bm.ToSet(), set);
 }
 
+// Universes on and off word boundaries, and densities from empty to full,
+// so every physical path (sorted merge, bitmap, empty-operand shortcut) and
+// every partial last word is exercised.
+constexpr std::size_t kUniverses[] = {1,   63,   64,   65,    127,
+                                      128, 1000, 4097, 10037};
+constexpr double kDensities[] = {0.0, 0.001, 0.02, 0.1, 0.25, 0.6, 0.95, 1.0};
+
+RowSet Draw(cqads::Rng* rng, std::size_t universe, double density) {
+  RowSet s;
+  for (RowId r = 0; r < universe; ++r) {
+    if (rng->Bernoulli(density)) s.push_back(r);
+  }
+  return s;
+}
+
+/// Bit-at-a-time references for the word-level kernels.
+exec::RowBitmap BitAtATimeFromSet(const RowSet& set, std::size_t universe) {
+  exec::RowBitmap bm(universe);
+  for (RowId r : set) bm.Set(r);
+  return bm;
+}
+
+RowSet BitAtATimeToSet(const exec::RowBitmap& bm) {
+  RowSet out;
+  for (RowId r = 0; r < bm.universe(); ++r) {
+    if (bm.Test(r)) out.push_back(r);
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> Words(const exec::RowBitmap& bm) {
+  return {bm.word_data(), bm.word_data() + bm.word_count()};
+}
+
 TEST(RowSetOpsTest, AdaptiveOpsMatchSortedMergeAcrossDensities) {
   cqads::Rng rng(4242);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t universe = 1 + rng.UniformIndex(300);
-    auto draw = [&](double density) {
-      RowSet s;
-      for (RowId r = 0; r < universe; ++r) {
-        if (rng.Bernoulli(density)) s.push_back(r);
+  for (std::size_t universe : kUniverses) {
+    for (double da : kDensities) {
+      for (double db : kDensities) {
+        const RowSet a = Draw(&rng, universe, da);
+        const RowSet b = Draw(&rng, universe, db);
+        SCOPED_TRACE(::testing::Message() << "universe=" << universe
+                                          << " |a|=" << a.size()
+                                          << " |b|=" << b.size());
+        EXPECT_EQ(exec::UnionSets(a, b, universe), Union(a, b));
+        EXPECT_EQ(exec::IntersectSets(a, b, universe), Intersect(a, b));
+        EXPECT_EQ(exec::DifferenceSets(a, b, universe), Difference(a, b));
+
+        // The lazy forms, in every combination of representations.
+        for (int form = 0; form < 4; ++form) {
+          auto lazy = [&](const RowSet& s, bool dense) {
+            return dense ? exec::LazyRowSet::FromBitmap(
+                               exec::RowBitmap::FromSet(s, universe))
+                         : exec::LazyRowSet::FromRows(s);
+          };
+          exec::LazyRowSet i = lazy(a, form & 1);
+          i.IntersectWith(lazy(b, form & 2), universe);
+          EXPECT_EQ(std::move(i).ToRows(), Intersect(a, b)) << form;
+          exec::LazyRowSet u = lazy(a, form & 1);
+          u.UnionWith(lazy(b, form & 2), universe);
+          EXPECT_EQ(u.Count(), Union(a, b).size()) << form;
+          EXPECT_EQ(std::move(u).ToRows(), Union(a, b)) << form;
+        }
+        exec::LazyRowSet c = exec::LazyRowSet::FromRows(a);
+        c.ComplementWithin(universe);
+        EXPECT_EQ(std::move(c).ToRows(),
+                  Difference(Draw(&rng, universe, 1.0), a));
       }
-      return s;
-    };
-    // Sweep sparse and dense inputs so both physical paths are exercised.
-    const double da = trial % 2 == 0 ? 0.02 : 0.7;
-    const double db = trial % 3 == 0 ? 0.05 : 0.6;
-    RowSet a = draw(da), b = draw(db);
-    EXPECT_EQ(exec::UnionSets(a, b, universe), Union(a, b));
-    EXPECT_EQ(exec::IntersectSets(a, b, universe), Intersect(a, b));
-    EXPECT_EQ(exec::DifferenceSets(a, b, universe), Difference(a, b));
+    }
+  }
+}
+
+TEST(RowSetOpsTest, BitmapKernelsMatchBitAtATimeReference) {
+  cqads::Rng rng(977);
+  for (std::size_t universe : kUniverses) {
+    for (double density : kDensities) {
+      const RowSet set = Draw(&rng, universe, density);
+      SCOPED_TRACE(::testing::Message() << "universe=" << universe
+                                        << " |set|=" << set.size());
+      const exec::RowBitmap ref = BitAtATimeFromSet(set, universe);
+      const exec::RowBitmap bm = exec::RowBitmap::FromSet(set, universe);
+      ASSERT_EQ(Words(bm), Words(ref));
+      EXPECT_EQ(bm.Count(), set.size());
+      EXPECT_EQ(bm.AnySet(), !set.empty());
+      EXPECT_EQ(bm.ToSet(), set);
+      EXPECT_EQ(BitAtATimeToSet(bm), set);
+
+      // Complement keeps the bits past the universe clear.
+      exec::RowBitmap comp = bm;
+      comp.ComplementAll();
+      EXPECT_EQ(comp.Count(), universe - set.size());
+      EXPECT_EQ(comp.ToSet(), BitAtATimeToSet(comp));
+      EXPECT_EQ(comp.ToSet(), Difference(Draw(&rng, universe, 1.0), set));
+
+      // Growing widens the universe with clear rows, in place or from the
+      // vector form; the rows past the old universe are settable.
+      const std::size_t wider = universe + 70;
+      exec::RowBitmap grown = comp;
+      grown.Grow(wider);
+      EXPECT_EQ(grown.universe(), wider);
+      EXPECT_EQ(grown.ToSet(), comp.ToSet());
+      grown.Set(static_cast<RowId>(wider - 1));
+      EXPECT_EQ(grown.Count(), comp.Count() + 1);
+      exec::RowBitmap from_rows =
+          exec::LazyRowSet::FromRows(set).ToBitmap(wider);
+      exec::RowBitmap from_bitmap =
+          exec::LazyRowSet::FromBitmap(bm).ToBitmap(wider);
+      EXPECT_EQ(Words(from_rows), Words(BitAtATimeFromSet(set, wider)));
+      EXPECT_EQ(Words(from_bitmap), Words(from_rows));
+
+      // Reset clears exactly the named rows.
+      exec::RowBitmap reset = bm;
+      RowSet kept;
+      for (std::size_t i = 0; i < set.size(); ++i) {
+        if (i % 3 == 0) {
+          reset.Reset(set[i]);
+        } else {
+          kept.push_back(set[i]);
+        }
+      }
+      EXPECT_EQ(Words(reset), Words(BitAtATimeFromSet(kept, universe)));
+    }
+  }
+}
+
+TEST(RowSetOpsTest, PopCountMatchesBitLoop) {
+  auto bit_loop = [](std::uint64_t w) {
+    std::size_t n = 0;
+    for (int b = 0; b < 64; ++b) n += (w >> b) & 1;
+    return n;
+  };
+  cqads::Rng rng(31);
+  std::vector<std::uint64_t> words = {0, ~std::uint64_t{0}, 1,
+                                      std::uint64_t{1} << 63,
+                                      0x5555555555555555ULL,
+                                      0xAAAAAAAAAAAAAAAAULL};
+  for (int i = 0; i < 2000; ++i) {
+    // Sparse, dense and uniform words alike.
+    const std::uint64_t x = rng.engine()(), y = rng.engine()();
+    words.push_back(i % 3 == 0 ? x & y : i % 3 == 1 ? x | y : x);
+  }
+  exec::SelMask mask;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    EXPECT_EQ(exec::PopCount64(words[i]), bit_loop(words[i])) << words[i];
+    mask.words[i % exec::kMaskWords] = words[i];
+    if (i % exec::kMaskWords == exec::kMaskWords - 1) {
+      std::size_t want = 0;
+      for (std::uint64_t w : mask.words) want += bit_loop(w);
+      EXPECT_EQ(mask.Count(), want);
+    }
   }
 }
 

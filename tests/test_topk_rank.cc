@@ -25,6 +25,7 @@
 #include "db/exec/rank_bounds.h"
 #include "db/exec/topk.h"
 #include "serve/concurrent_server.h"
+#include "serve/prepared_cache.h"
 #include "serve/worker_pool.h"
 #include "test_fixtures.h"
 
@@ -451,6 +452,244 @@ TEST_F(ClusteredRankTest, BestFirstVisitsTheTargetBlockOnly) {
   parallel.exec_runner = &pool;
   parallel.exec_parallelism = 4;
   ExpectAskParity(engine_, "cars", questions, parallel, off, "parallel");
+}
+
+// ------------------------------- N-1 passes over per-unit row bitmaps
+
+/// 1037 toyota camrys, then 9000 honda accords: 10037 base rows, so the
+/// base's last 64-bit word (rows 9984..10036) also holds the first ingested
+/// delta rows. Accord prices ascend in half-dollar steps from a quarter-
+/// dollar offset, so "honda accord 14497 dollars" never matches exactly and
+/// ranks the accords of that shared word (rows 10030 and 10031 straddle
+/// the target) through the pass that drops price, which has more than
+/// kMinRowsForParallelExec candidates and so fans out on a pool.
+class UnitBitmapRankTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kCamrys = 1037;
+  static constexpr std::size_t kAccords = 9000;
+  static constexpr std::size_t kBaseRows = kCamrys + kAccords;
+
+  UnitBitmapRankTest() : table_(testing::MiniCarSchema()) {
+    static constexpr const char* kColors[] = {"blue", "red", "white"};
+    for (std::size_t i = 0; i < kBaseRows; ++i) {
+      const bool accord = i >= kCamrys;
+      const double step = static_cast<double>(accord ? i - kCamrys : i);
+      EXPECT_TRUE(table_
+                      .Insert(CarRecord(accord ? "honda" : "toyota",
+                                        accord ? "accord" : "camry", 2005,
+                                        (accord ? 10000.25 : 20000.25) +
+                                            0.5 * step,
+                                        60000, kColors[i % 3], "automatic",
+                                        "4 door", "2 wheel drive",
+                                        "cd player"))
+                      .ok());
+    }
+    table_.BuildIndexes();
+    EXPECT_TRUE(engine_.AddDomain(&table_, qlog::TiMatrix()).ok());
+  }
+
+  /// Live delta rows in the shared word, scoring next to the target, and
+  /// tombstones on both sides of the base/delta split inside that word.
+  void GrowSharedWordDelta() {
+    ASSERT_NE(kBaseRows % 64, 0u);
+    const struct {
+      double price;
+      const char* color;
+    } kAds[] = {{14497.5, "blue"},  {14496.5, "red"},   {14497.0, "white"},
+                {14498.0, "blue"},  {14495.5, "white"}, {14499.5, "red"}};
+    std::vector<RowId> ids;
+    for (const auto& ad : kAds) {
+      auto id = engine_.IngestAd(
+          "cars", CarRecord("honda", "accord", 2005, ad.price, 60000,
+                            ad.color, "automatic", "4 door", "2 wheel drive",
+                            "cd player"));
+      ASSERT_TRUE(id.ok()) << id.status();
+      ids.push_back(id.value());
+    }
+    ASSERT_EQ(ids.front(), kBaseRows);
+    ASSERT_EQ(ids.front() / 64, (kBaseRows - 1) / 64);  // same word
+    ASSERT_TRUE(engine_.RetireAd("cars", 10030).ok());
+    ASSERT_TRUE(engine_.RetireAd("cars", 10033).ok());
+    ASSERT_TRUE(engine_.RetireAd("cars", ids[2]).ok());
+  }
+
+  /// Top-k on vs the serial oracle, vectorized and scalar, serial and
+  /// 4-way parallel. `cap` overrides answer_cap and partial_trigger.
+  void ExpectParityEverywhere(
+      const std::vector<datagen::GeneratedQuestion>& questions,
+      std::size_t cap = core::EngineOptions().answer_cap) {
+    serve::WorkerPool pool(4);
+    for (const bool vectorize : {true, false}) {
+      core::EngineOptions off;
+      off.answer_cap = off.partial_trigger = cap;
+      off.use_topk_rank = false;
+      off.use_vector_kernels = vectorize;
+      core::EngineOptions serial;
+      serial.answer_cap = serial.partial_trigger = cap;
+      serial.use_vector_kernels = vectorize;
+      core::EngineOptions parallel = serial;
+      parallel.exec_runner = &pool;
+      parallel.exec_parallelism = 4;
+      const char* mode = vectorize ? "vectorized" : "scalar";
+      ExpectAskParity(engine_, "cars", questions, serial, off, mode);
+      ExpectAskParity(engine_, "cars", questions, parallel, off, mode);
+    }
+  }
+
+  /// One case per question: the parse shape it must have, so each case
+  /// exercises what its comment claims.
+  struct Case {
+    const char* text;
+    std::size_t units, fixed, empty_units;
+  };
+  static constexpr Case kCases[] = {
+      // No empty unit: every pass runs (14497.25 is row 10031's price).
+      {"red honda accord 14497.25 dollars", 3, 0, 0},
+      {"honda accord not red 14497.25 dollars", 2, 1, 0},
+      // One empty unit (no price equals 14497 or is under 9000): the
+      // passes that keep it are skipped.
+      {"honda accord 14497 dollars", 2, 0, 1},
+      {"blue honda accord 14497 dollars", 3, 0, 1},
+      {"white honda accord 14497 dollars", 3, 0, 1},
+      {"honda accord not red 14497 dollars", 2, 1, 1},
+      {"honda accord not red under 9000 dollars", 2, 1, 1},
+      {"toyota camry 20300 dollars", 2, 0, 1},
+      // Two empty units (no honda is a camry either): every pass keeps
+      // one and is skipped.
+      {"blue honda camry under 9000 dollars", 3, 0, 2},
+  };
+
+  static std::vector<datagen::GeneratedQuestion> Questions() {
+    std::vector<datagen::GeneratedQuestion> qs;
+    for (const Case& c : kCases) {
+      datagen::GeneratedQuestion q;
+      q.text = c.text;
+      qs.push_back(std::move(q));
+    }
+    return qs;
+  }
+
+  std::string OracleAsk(const std::string& text) {
+    core::EngineOptions off;
+    off.use_topk_rank = false;
+    engine_.SetOptions(off);
+    auto r = engine_.AskInDomain("cars", text);
+    engine_.SetOptions(core::EngineOptions());
+    return r.ok() ? core::CanonicalAskResultString(r.value())
+                  : "ERROR: " + r.status().ToString();
+  }
+
+  db::Table table_;
+  core::CqadsEngine engine_;
+};
+
+TEST_F(UnitBitmapRankTest, CasesHaveTheirClaimedShape) {
+  for (const Case& c : kCases) {
+    auto parsed = engine_.Parse("cars", c.text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const core::ParsedQuestion& p = parsed.value();
+    EXPECT_EQ(p.assembled.units.size(), c.units) << c.text;
+    EXPECT_EQ(p.assembled.fixed.size(), c.fixed) << c.text;
+    ASSERT_EQ(p.unit_plans.size(), c.units) << c.text;
+    EXPECT_EQ(p.fixed_plan != nullptr, c.fixed > 0) << c.text;
+    std::size_t empty = 0;
+    for (const auto& plan : p.unit_plans) {
+      db::ExecStats stats;
+      auto rows = plan->ExecuteRowSet(&stats);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      empty += rows.value().empty() ? 1 : 0;
+    }
+    EXPECT_EQ(empty, c.empty_units) << c.text;
+  }
+}
+
+TEST_F(UnitBitmapRankTest, SharedWordDeltaAndTombstonesMatchOracle) {
+  const auto questions = Questions();
+  ExpectParityEverywhere(questions);
+
+  GrowSharedWordDelta();
+  ExpectParityEverywhere(questions);
+
+  // The case the parity above must cover: the top-k answer holds base rows
+  // and delta rows of the shared word, and none of its tombstones.
+  auto r = engine_.AskInDomain("cars", "honda accord 14497 dollars");
+  ASSERT_TRUE(r.ok()) << r.status();
+  bool shared_base = false, delta = false;
+  for (const core::Answer& a : r.value().answers) {
+    shared_base = shared_base || (a.row / 64 == kBaseRows / 64 &&
+                                  a.row < kBaseRows);
+    delta = delta || a.row >= kBaseRows;
+    EXPECT_NE(a.row, 10030u);
+    EXPECT_NE(a.row, 10033u);
+    EXPECT_NE(a.row, kBaseRows + 2);
+  }
+  EXPECT_TRUE(shared_base);
+  EXPECT_TRUE(delta);
+}
+
+// A cap above every pass's candidate count ships every candidate, so the
+// whole relaxation row set, each row once with its owning pass's score and
+// measure, is compared, not just its best 30.
+TEST_F(UnitBitmapRankTest, EveryCandidateMatchesOracleUnderAWideCap) {
+  GrowSharedWordDelta();
+  ExpectParityEverywhere(Questions(), /*cap=*/20000);
+}
+
+// Tombstones alone make the delta non-empty with no delta rows: the word
+// shared with the (empty) delta range holds base candidates only.
+TEST_F(UnitBitmapRankTest, TombstonesWithoutDeltaRowsMatchOracle) {
+  ASSERT_TRUE(engine_.RetireAd("cars", 10030).ok());
+  ASSERT_TRUE(engine_.RetireAd("cars", 10033).ok());
+  ExpectParityEverywhere(Questions());
+}
+
+TEST_F(UnitBitmapRankTest, PlannerOffAndPartitionedRuntimesMatchOracle) {
+  GrowSharedWordDelta();
+  const auto questions = Questions();
+  core::EngineOptions off;
+  off.use_topk_rank = false;
+
+  // No plans at all: unit rows come from the seed executor.
+  core::EngineOptions seed;
+  seed.use_planner = false;
+  ExpectAskParity(engine_, "cars", questions, seed, off, "use_planner=false");
+
+  // A sharded store: the partitioned plan serves the exact query, unit
+  // plans stay monolithic.
+  serve::WorkerPool pool(4);
+  core::EngineOptions sharded;
+  sharded.partition_rows = 1000;
+  ExpectAskParity(engine_, "cars", questions, sharded, off, "partitioned");
+  sharded.exec_runner = &pool;
+  sharded.exec_parallelism = 4;
+  ExpectAskParity(engine_, "cars", questions, sharded, off,
+                  "partitioned parallel");
+}
+
+// A ParsedQuestion put into the prepared cache without unit plans (the
+// cache's public Put() takes any parse) ranks by compiling them on demand.
+TEST_F(UnitBitmapRankTest, CachedParseWithoutUnitPlansCompilesOnDemand) {
+  GrowSharedWordDelta();
+  const auto snap = engine_.snapshot();
+  serve::PreparedQueryCache cache;
+  for (const Case& c : kCases) {
+    auto parsed = engine_.Parse("cars", c.text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    core::ParsedQuestion bare = std::move(parsed).value();
+    bare.unit_plans.clear();
+    bare.fixed_plan = nullptr;
+    const std::string key =
+        serve::PreparedQueryCache::NormalizeQuestion(c.text);
+    cache.Put("cars", key, snap->version(),
+              std::make_shared<const core::ParsedQuestion>(std::move(bare)));
+
+    core::QueryContext ctx(c.text, "cars");
+    ctx.cached_parsed = cache.Get("cars", key, snap->version());
+    ASSERT_NE(ctx.cached_parsed, nullptr);
+    ASSERT_TRUE(core::QueryPipeline::Full().Run(*snap, &ctx).ok()) << c.text;
+    EXPECT_EQ(core::CanonicalAskResultString(ctx.result), OracleAsk(c.text))
+        << c.text;
+  }
 }
 
 // ------------------------------------------- parallel sweeps (big domain)

@@ -436,8 +436,8 @@ class VectorParityTest : public ::testing::TestWithParam<std::string> {
 datagen::World* VectorParityTest::world_ = nullptr;
 
 // Plan-level: the lazy block-at-a-time evaluation of every compiled plan
-// (main + each N-1 relaxation) returns the exact row set of the scalar
-// reference execution.
+// (main, each unit plan and the fixed-fragment plan the N-1 rank pass
+// combines) returns the exact row set of the scalar reference execution.
 TEST_P(VectorParityTest, PlansReturnIdenticalRowSetsVectorizedOrNot) {
   const std::string& domain = GetParam();
   const auto* spec = world_->spec(domain);
@@ -452,7 +452,8 @@ TEST_P(VectorParityTest, PlansReturnIdenticalRowSetsVectorizedOrNot) {
     if (!parsed.ok()) continue;
     std::vector<db::exec::PlanPtr> plans;
     plans.push_back(parsed.value().plan);
-    for (const auto& rp : parsed.value().relaxed_plans) plans.push_back(rp);
+    for (const auto& up : parsed.value().unit_plans) plans.push_back(up);
+    plans.push_back(parsed.value().fixed_plan);
     for (const auto& plan : plans) {
       if (plan == nullptr) continue;
       db::ExecStats vec_stats, scalar_stats;
