@@ -42,7 +42,7 @@ inline void PrintRule() {
 /// Schema version of the BENCH_*.json artifacts. Bump when a field is
 /// renamed or its meaning changes, so downstream perf-trajectory tooling
 /// can tell incompatible artifacts apart instead of silently misreading.
-inline constexpr int kBenchJsonSchemaVersion = 2;
+inline constexpr int kBenchJsonSchemaVersion = 3;
 
 /// The `git describe` of the sources these benches were configured from
 /// (stamped by CMake; "unknown" outside a git checkout).

@@ -4,11 +4,14 @@
 // FAQFinder because it retrieves exact matches first and only ranks partial
 // answers when needed.
 //
-// This bench also pins the planner/ColumnStore rearchitecture: the whole
-// question stream is answered once through the cost-aware planner and once
-// through the seed §4.3 Type-rank executor; any canonical-answer mismatch
-// fails the run (non-zero exit — the CI smoke step relies on it), and the
-// two ask times quantify the planner's speedup over the PR 2 baseline.
+// This bench also pins the serving path to the reference oracle
+// (reference/reference_ask.h: the paper's algorithm over the seed Type-rank
+// executor and string-keyed Eq. 5 scoring): the whole question stream is
+// answered by the oracle, by the engine, by the engine over partition-
+// sharded stores, and by an engine reloaded from a persistent snapshot.
+// Any canonical-answer mismatch with the oracle fails the run (non-zero
+// exit — the CI smoke step relies on it), and the ask times quantify the
+// serving path's speedup over the oracle.
 //
 // Usage: fig6_efficiency [--quick]
 #include <chrono>
@@ -20,6 +23,7 @@
 #include "core/ask_types.h"
 #include "core/cqads_engine.h"
 #include "eval/experiments.h"
+#include "reference/reference_ask.h"
 
 int main(int argc, char** argv) {
   using namespace cqads;
@@ -30,25 +34,23 @@ int main(int argc, char** argv) {
   auto questions = eval::GenerateSurveyQuestions(
       *world, quick ? 20 : 80, quick ? 20 : 82, 660);
 
-  // ---- planner vs seed-executor parity + ask-time comparison ----------
+  // ---- serving path vs reference parity + ask-time comparison ----------
   std::vector<std::pair<std::string, std::string>> stream;  // domain, text
   for (const auto& [domain, qs] : questions) {
     for (const auto& q : qs) stream.emplace_back(domain, q.text);
   }
 
-  auto ask_all = [&](std::vector<std::string>* out) {
+  auto canonical = [](const Result<core::AskResult>& r) {
+    return r.ok() ? core::CanonicalAskResultString(r.value()) : "ERROR";
+  };
+  auto ask_all = [&](const core::CqadsEngine& engine,
+                     std::vector<std::string>* out) {
     auto start = Clock::now();
     for (const auto& [domain, text] : stream) {
-      auto r = world->engine().AskInDomain(domain, text);
-      out->push_back(r.ok() ? core::CanonicalAskResultString(r.value())
-                            : "ERROR");
+      out->push_back(canonical(engine.AskInDomain(domain, text)));
     }
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
-
-  core::EngineOptions planner_options;  // defaults: use_planner = true
-  core::EngineOptions seed_options;
-  seed_options.use_planner = false;
 
   // Untimed warmup so the first timed mode does not absorb one-time costs
   // (pipeline singletons, allocator, page cache).
@@ -56,57 +58,37 @@ int main(int argc, char** argv) {
     (void)world->engine().AskInDomain(domain, text);
   }
 
-  world->mutable_engine().SetOptions(seed_options);
-  std::vector<std::string> seed_answers;
-  const double seed_secs = ask_all(&seed_answers);
+  std::vector<std::string> reference_answers;
+  double reference_secs = 0.0;
+  {
+    const auto snapshot = world->engine().snapshot();
+    auto start = Clock::now();
+    for (const auto& [domain, text] : stream) {
+      reference_answers.push_back(canonical(
+          reference::ReferenceAskInDomain(*snapshot, domain, text)));
+    }
+    reference_secs =
+        std::chrono::duration<double>(Clock::now() - start).count();
+  }
 
-  world->mutable_engine().SetOptions(planner_options);
-  std::vector<std::string> planned_answers;
-  const double planned_secs = ask_all(&planned_answers);
+  std::vector<std::string> production_answers;
+  const double production_secs =
+      ask_all(world->engine(), &production_answers);
 
   // Partition-sharded stores (4 shards per 500-ad domain), serial morsels:
   // the partitioned execution path must stay canonical-answer-identical to
-  // the seed executor on the full ask stream.
+  // the oracle on the full ask stream.
   core::EngineOptions partitioned_options;
   partitioned_options.partition_rows = 128;
   world->mutable_engine().SetOptions(partitioned_options);
   std::vector<std::string> partitioned_answers;
-  const double partitioned_secs = ask_all(&partitioned_answers);
-
-  // Term-substrate parity: the whole stream once more with the interned
-  // substrate forced OFF (legacy pointer-trie tagging + string-keyed Eq. 5
-  // scoring). Every mode above ran with the substrate ON (the default), so
-  // any byte difference here is a substrate bug.
-  core::EngineOptions legacy_options;
-  legacy_options.use_term_substrate = false;
-  world->mutable_engine().SetOptions(legacy_options);
-  std::vector<std::string> legacy_answers;
-  const double legacy_secs = ask_all(&legacy_answers);
-
-  // Vector-kernel parity: the stream once more with block-at-a-time
-  // execution and batched Eq. 5 scoring forced OFF (the scalar row-at-a-
-  // time reference loops). Every mode above ran vectorized (the default),
-  // so any byte difference here is a kernel bug.
-  core::EngineOptions scalar_options;
-  scalar_options.use_vector_kernels = false;
-  world->mutable_engine().SetOptions(scalar_options);
-  std::vector<std::string> scalar_answers;
-  const double scalar_secs = ask_all(&scalar_answers);
-
-  // Top-k rank parity: the stream once more with pruned top-k partial
-  // ranking forced OFF (the serial collect-all + full-sort oracle). Every
-  // mode above ranked through the bounded top-k path (the default), so any
-  // byte difference here is a pruning/merge bug.
-  core::EngineOptions fullsort_options;
-  fullsort_options.use_topk_rank = false;
-  world->mutable_engine().SetOptions(fullsort_options);
-  std::vector<std::string> fullsort_answers;
-  const double fullsort_secs = ask_all(&fullsort_answers);
-  world->mutable_engine().SetOptions(planner_options);
+  const double partitioned_secs =
+      ask_all(world->engine(), &partitioned_answers);
+  world->mutable_engine().SetOptions(core::EngineOptions());
 
   // Persistent-snapshot parity: save the engine, boot a second engine from
   // the file (mmap + zero-copy adoption), and serve the whole stream from
-  // it. Any byte difference vs the freshly built engine is a serde bug.
+  // it. Any byte difference is a serde bug.
   const std::string snap_path = "BENCH_fig6_parity.snap";
   std::vector<std::string> snapshot_answers;
   double snapshot_secs = 0.0;
@@ -123,53 +105,36 @@ int main(int argc, char** argv) {
                    reloaded.status().ToString().c_str());
       return 1;
     }
-    auto start = Clock::now();
-    for (const auto& [domain, text] : stream) {
-      auto r = reloaded.value()->AskInDomain(domain, text);
-      snapshot_answers.push_back(
-          r.ok() ? core::CanonicalAskResultString(r.value()) : "ERROR");
-    }
-    snapshot_secs = std::chrono::duration<double>(Clock::now() - start).count();
+    snapshot_secs = ask_all(*reloaded.value(), &snapshot_answers);
     std::remove(snap_path.c_str());
   }
 
-  std::size_t mismatches = 0;
+  std::size_t production_mismatches = 0;
   std::size_t partitioned_mismatches = 0;
-  std::size_t substrate_mismatches = 0;
-  std::size_t vector_mismatches = 0;
-  std::size_t topk_mismatches = 0;
   std::size_t snapshot_mismatches = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    if (seed_answers[i] != planned_answers[i]) ++mismatches;
-    if (seed_answers[i] != partitioned_answers[i]) ++partitioned_mismatches;
-    if (seed_answers[i] != legacy_answers[i]) ++substrate_mismatches;
-    if (seed_answers[i] != scalar_answers[i]) ++vector_mismatches;
-    if (seed_answers[i] != fullsort_answers[i]) ++topk_mismatches;
-    if (seed_answers[i] != snapshot_answers[i]) ++snapshot_mismatches;
+    const std::string& want = reference_answers[i];
+    if (production_answers[i] != want) ++production_mismatches;
+    if (partitioned_answers[i] != want) ++partitioned_mismatches;
+    if (snapshot_answers[i] != want) ++snapshot_mismatches;
   }
 
-  bench::PrintHeader("planner vs seed executor (full ask path)");
+  bench::PrintHeader("serving path vs reference oracle (full ask path)");
   std::printf("questions: %zu\n", stream.size());
-  std::printf("seed Type-rank executor : %8.1f q/s\n",
-              stream.size() / seed_secs);
-  std::printf("cost-aware planner      : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / planned_secs, seed_secs / planned_secs);
+  std::printf("reference oracle        : %8.1f q/s\n",
+              stream.size() / reference_secs);
+  std::printf("production              : %8.1f q/s   speedup %.2fx\n",
+              stream.size() / production_secs,
+              reference_secs / production_secs);
   std::printf("partitioned (128/shard) : %8.1f q/s   speedup %.2fx\n",
               stream.size() / partitioned_secs,
-              seed_secs / partitioned_secs);
-  std::printf("legacy string substrate : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / legacy_secs, seed_secs / legacy_secs);
-  std::printf("scalar (no vec kernels) : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / scalar_secs, seed_secs / scalar_secs);
-  std::printf("full-sort rank (no topk): %8.1f q/s   speedup %.2fx\n",
-              stream.size() / fullsort_secs, seed_secs / fullsort_secs);
+              reference_secs / partitioned_secs);
   std::printf("reloaded snapshot       : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / snapshot_secs, seed_secs / snapshot_secs);
+              stream.size() / snapshot_secs, reference_secs / snapshot_secs);
   std::printf(
-      "canonical answer mismatches: planner=%zu partitioned=%zu "
-      "substrate=%zu vector=%zu topk=%zu snapshot=%zu\n",
-      mismatches, partitioned_mismatches, substrate_mismatches,
-      vector_mismatches, topk_mismatches, snapshot_mismatches);
+      "canonical answer mismatches vs reference: production=%zu "
+      "partitioned=%zu snapshot=%zu\n",
+      production_mismatches, partitioned_mismatches, snapshot_mismatches);
 
   // ---- the paper figure ----------------------------------------------
   auto result = eval::RunEfficiency(*world, questions, 661);
@@ -191,33 +156,24 @@ int main(int argc, char** argv) {
 
   bench::BenchJson json("fig6_efficiency");
   json.Add("questions", stream.size());
-  json.Add("seed_qps", stream.size() / seed_secs);
-  json.Add("planner_qps", stream.size() / planned_secs);
+  json.Add("reference_qps", stream.size() / reference_secs);
+  json.Add("production_qps", stream.size() / production_secs);
   json.Add("partitioned_qps", stream.size() / partitioned_secs);
-  json.Add("legacy_substrate_qps", stream.size() / legacy_secs);
-  json.Add("scalar_kernels_qps", stream.size() / scalar_secs);
-  json.Add("fullsort_rank_qps", stream.size() / fullsort_secs);
   json.Add("snapshot_qps", stream.size() / snapshot_secs);
-  json.Add("planner_mismatches", mismatches);
+  json.Add("production_mismatches", production_mismatches);
   json.Add("partitioned_mismatches", partitioned_mismatches);
-  json.Add("substrate_mismatches", substrate_mismatches);
-  json.Add("vector_mismatches", vector_mismatches);
-  json.Add("topk_mismatches", topk_mismatches);
   json.Add("snapshot_mismatches", snapshot_mismatches);
   for (const auto& [name, ms] : result.avg_ms) {
     json.Add("avg_ms_" + name, ms);
   }
   json.Write();
 
-  if (mismatches + partitioned_mismatches + substrate_mismatches +
-          vector_mismatches + topk_mismatches + snapshot_mismatches >
+  if (production_mismatches + partitioned_mismatches + snapshot_mismatches >
       0) {
     std::printf(
-        "FAIL: answers differ from the seed executor (planner=%zu, "
-        "partitioned=%zu, substrate=%zu, vector=%zu, topk=%zu, "
-        "snapshot=%zu)\n",
-        mismatches, partitioned_mismatches, substrate_mismatches,
-        vector_mismatches, topk_mismatches, snapshot_mismatches);
+        "FAIL: answers differ from the reference oracle (production=%zu, "
+        "partitioned=%zu, snapshot=%zu)\n",
+        production_mismatches, partitioned_mismatches, snapshot_mismatches);
     return 1;
   }
   return 0;

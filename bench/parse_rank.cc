@@ -1,6 +1,7 @@
 // Parse/rank-side microbench for the interned-term substrate: per-stage
 // timings (classify/tag/conditions/rank, ...) and cold-parse throughput of
-// the full ask path with the substrate ON vs the legacy string paths, the
+// the full ask path vs the reference oracle (reference/reference_ask.h,
+// whose partial ranking runs the seed string-keyed Eq. 5 scoring), the
 // §4.1.3 trie footprint comparison (flat node arrays vs pointer tree), and
 // regression assertions pinning that WS/TI MostSimilar stays an O(degree)
 // row scan instead of the seed's O(total pairs) full-map scan.
@@ -27,6 +28,7 @@
 #include "core/rank_sim.h"
 #include "eval/experiments.h"
 #include "qlog/ti_matrix.h"
+#include "reference/reference_ask.h"
 #include "text/term_dict.h"
 #include "wordsim/ws_matrix.h"
 
@@ -89,46 +91,38 @@ int main(int argc, char** argv) {
     for (const auto& q : qs) stream.emplace_back(domain, q.text);
   }
 
-  // ---- cold-parse throughput + per-stage timings, substrate on vs off ---
-  std::map<std::string, double> stage_micros;  // substrate-on run only
-  auto ask_all = [&](bool collect_stages) {
-    auto start = Clock::now();
-    for (const auto& [domain, text] : stream) {
-      auto r = world->engine().AskInDomain(domain, text);
-      if (collect_stages && r.ok()) {
-        for (const auto& t : r.value().timings) {
-          stage_micros[t.stage] += t.micros;
-        }
-      }
-    }
-    return Seconds(start);
-  };
-
+  // ---- cold-parse throughput + per-stage timings vs the reference ------
   // Warmup absorbs one-time costs (pipeline singletons, allocator).
   for (const auto& [domain, text] : stream) {
     (void)world->engine().AskInDomain(domain, text);
   }
 
-  core::EngineOptions substrate_options;  // default: use_term_substrate on
-  core::EngineOptions legacy_options;
-  legacy_options.use_term_substrate = false;
+  const auto snapshot = world->engine().snapshot();
+  auto start = Clock::now();
+  for (const auto& [domain, text] : stream) {
+    (void)reference::ReferenceAskInDomain(*snapshot, domain, text);
+  }
+  const double reference_secs = Seconds(start);
 
-  world->mutable_engine().SetOptions(legacy_options);
-  const double legacy_secs = ask_all(false);
+  std::map<std::string, double> stage_micros;  // production run
+  start = Clock::now();
+  for (const auto& [domain, text] : stream) {
+    auto r = world->engine().AskInDomain(domain, text);
+    if (!r.ok()) continue;
+    for (const auto& t : r.value().timings) stage_micros[t.stage] += t.micros;
+  }
+  const double substrate_secs = Seconds(start);
 
-  world->mutable_engine().SetOptions(substrate_options);
-  const double substrate_secs = ask_all(true);
-
-  const double legacy_qps = stream.size() / legacy_secs;
+  const double reference_qps = stream.size() / reference_secs;
   const double substrate_qps = stream.size() / substrate_secs;
 
   bench::PrintHeader("cold-parse ask throughput (no prepared cache)");
   std::printf("questions: %zu\n", stream.size());
-  std::printf("legacy string paths     : %8.1f q/s\n", legacy_qps);
+  std::printf("reference oracle        : %8.1f q/s\n", reference_qps);
   std::printf("interned term substrate : %8.1f q/s   speedup %.2fx\n",
-              substrate_qps, legacy_secs / substrate_secs);
+              substrate_qps, reference_secs / substrate_secs);
 
-  bench::PrintHeader("per-stage time (substrate run)");
+  bench::PrintHeader("per-stage time (production run)");
   bench::PrintRule();
   for (const auto& [stage, micros] : stage_micros) {
     std::printf("%-12s %12.2f us/query  %10.1f ms total\n", stage.c_str(),
@@ -282,9 +276,9 @@ int main(int argc, char** argv) {
 
   bench::BenchJson json("parse_rank");
   json.Add("questions", stream.size());
-  json.Add("legacy_qps", legacy_qps);
+  json.Add("reference_qps", reference_qps);
   json.Add("substrate_qps", substrate_qps);
-  json.Add("substrate_speedup", legacy_secs / substrate_secs);
+  json.Add("substrate_speedup", reference_secs / substrate_secs);
   for (const auto& [stage, micros] : stage_micros) {
     json.Add("stage_us_" + stage, micros / stream.size());
   }
@@ -305,16 +299,20 @@ int main(int argc, char** argv) {
   // noise: the seed scan touches every stored pair per call while the CSR
   // path touches one row, so a genuine regression collapses the gap to ~1x.
   bool failed = false;
-  // Cold-parse floor: the substrate's measured speedup is ~1.3-1.5x on the
-  // survey stream; a drop below 1.1x means the id paths stopped paying for
-  // themselves (e.g. per-candidate stemming crept back into SimScorer).
-  // The floor sits well under the recorded speedup so CI timer noise on a
-  // loaded runner cannot trip it, while a genuine regression to ~1.0x does.
-  if (legacy_secs / substrate_secs < 1.1) {
+  // Cold-parse floor: the 1.1x this gate held over the serving path with
+  // the seed string substrate, scaled by how much slower the reference is
+  // than that path was (1.16-1.64x on a 4-vCPU x86 host): 1.1 x 1.64 ~= 1.8,
+  // so changing the denominator does not weaken the gate. Measured
+  // speedups run 2.8-3.8x; a drop below the floor means the id paths or
+  // the top-k rank stopped paying for themselves (e.g. per-candidate
+  // stemming crept back into SimScorer).
+  constexpr double kColdParseFloor = 1.8;
+  if (reference_secs / substrate_secs < kColdParseFloor) {
     std::printf(
-        "FAIL: term-substrate cold-parse speedup %.2fx below the 1.1x "
-        "regression floor (legacy %.0f q/s, substrate %.0f q/s)\n",
-        legacy_secs / substrate_secs, legacy_qps, substrate_qps);
+        "FAIL: cold-parse speedup %.2fx over the reference below the %.1fx "
+        "regression floor (reference %.0f q/s, production %.0f q/s)\n",
+        reference_secs / substrate_secs, kColdParseFloor, reference_qps,
+        substrate_qps);
     failed = true;
   }
   // Cold-rank floor: ScoreBlock's code-tuple memo collapses a 500-row sweep

@@ -1,6 +1,7 @@
 // Rank-stage scaling: cold partial ranking over a >=100k-row domain, the
-// pruned morsel-parallel top-k path (EngineOptions::use_topk_rank, default)
-// against the frozen serial collect-all + full-sort oracle.
+// serving path's pruned morsel-parallel top-k rank against the reference
+// oracle (reference/reference_ask.h: one seed-executor query per N-1
+// relaxation, string-keyed Eq. 5 scoring of every candidate, full sort).
 //
 // The table is generated clustered — rows grouped by (make, model), prices
 // ascending within a group — the shape real ad feeds have (listings arrive
@@ -11,8 +12,8 @@
 // whose exact answer set is (near) empty, so every ask runs the §4.3.1
 // partial-ranking stage over the full table.
 //
-// Gates (CI): pruned-parallel speedup >= 1.3x over serial, nonzero skipped
-// blocks, and byte-identical answers between the two paths. Non-zero exit
+// Gates (CI): pruned-parallel speedup >= 3.4x over the reference, nonzero
+// skipped blocks, and byte-identical answers between the two. Non-zero exit
 // on any violation. Emits BENCH_rank_scale.json.
 //
 // Usage: rank_scale [--quick]
@@ -28,6 +29,7 @@
 #include "db/schema.h"
 #include "db/table.h"
 #include "qlog/ti_matrix.h"
+#include "reference/reference_ask.h"
 #include "serve/worker_pool.h"
 
 namespace {
@@ -178,11 +180,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto ask_all = [&](std::vector<std::string>* canon, db::ExecStats* stats) {
+  // `ask` answers one question; the answers and any ExecStats are kept.
+  auto ask_all = [&](auto&& ask, std::vector<std::string>* canon,
+                     db::ExecStats* stats) {
     auto start = Clock::now();
     for (std::size_t it = 0; it < iters; ++it) {
       for (const auto& q : questions) {
-        auto r = engine.AskInDomain("cars", q);
+        Result<core::AskResult> r = ask(q);
         if (!r.ok()) {
           canon->push_back("ERROR: " + r.status().ToString());
           continue;
@@ -194,36 +198,40 @@ int main(int argc, char** argv) {
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
-  // Serial full-sort oracle.
-  core::EngineOptions serial_options;
-  serial_options.use_topk_rank = false;
-  engine.SetOptions(serial_options);
-  std::vector<std::string> serial_answers;
-  const double serial_secs = ask_all(&serial_answers, nullptr);
+  // Reference oracle: full sort of every relaxation's scored candidates.
+  std::vector<std::string> reference_answers;
+  const auto snapshot = engine.snapshot();
+  const double reference_secs = ask_all(
+      [&](const std::string& q) {
+        return reference::ReferenceAskInDomain(*snapshot, "cars", q);
+      },
+      &reference_answers, nullptr);
 
   // Pruned, morsel-parallel top-k.
   serve::WorkerPool pool(4);
-  core::EngineOptions topk_options;  // defaults: use_topk_rank = true
+  core::EngineOptions topk_options;
   topk_options.exec_runner = &pool;
   topk_options.exec_parallelism = 4;
   engine.SetOptions(topk_options);
   std::vector<std::string> topk_answers;
   db::ExecStats topk_stats;
-  const double topk_secs = ask_all(&topk_answers, &topk_stats);
+  const double topk_secs = ask_all(
+      [&](const std::string& q) { return engine.AskInDomain("cars", q); },
+      &topk_answers, &topk_stats);
 
   std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < serial_answers.size(); ++i) {
-    if (serial_answers[i] != topk_answers[i]) ++mismatches;
+  for (std::size_t i = 0; i < reference_answers.size(); ++i) {
+    if (reference_answers[i] != topk_answers[i]) ++mismatches;
   }
 
-  const double speedup = serial_secs / topk_secs;
+  const double speedup = reference_secs / topk_secs;
   const std::size_t asks = questions.size() * iters;
 
-  cqads::bench::PrintHeader("rank_scale: pruned top-k vs serial full sort");
+  cqads::bench::PrintHeader("rank_scale: pruned top-k vs reference oracle");
   std::printf("rows: %zu   rank questions: %zu   iterations: %zu\n", rows,
               questions.size(), iters);
-  std::printf("serial full-sort rank   : %8.1f ms/ask\n",
-              1000.0 * serial_secs / static_cast<double>(asks));
+  std::printf("reference full-sort rank: %8.1f ms/ask\n",
+              1000.0 * reference_secs / static_cast<double>(asks));
   std::printf("pruned parallel top-k   : %8.1f ms/ask   speedup %.2fx\n",
               1000.0 * topk_secs / static_cast<double>(asks), speedup);
   std::printf("blocks visited=%zu skipped=%zu (%.1f%%)   rows pruned=%zu   "
@@ -234,14 +242,14 @@ int main(int argc, char** argv) {
                                       topk_stats.rank_blocks_skipped),
               topk_stats.rank_rows_pruned,
               topk_stats.rank_threshold_updates);
-  std::printf("answer mismatches vs serial oracle: %zu\n", mismatches);
+  std::printf("answer mismatches vs reference: %zu\n", mismatches);
 
   cqads::bench::BenchJson json("rank_scale");
   json.Add("rows", rows);
   json.Add("questions", questions.size());
   json.Add("iterations", iters);
-  json.Add("serial_ms_per_ask",
-           1000.0 * serial_secs / static_cast<double>(asks));
+  json.Add("reference_ms_per_ask",
+           1000.0 * reference_secs / static_cast<double>(asks));
   json.Add("topk_ms_per_ask", 1000.0 * topk_secs / static_cast<double>(asks));
   json.Add("speedup", speedup);
   json.Add("rank_blocks_visited", topk_stats.rank_blocks_visited);
@@ -251,9 +259,13 @@ int main(int argc, char** argv) {
   json.Add("mismatches", mismatches);
   json.Write();
 
-  constexpr double kSpeedupFloor = 1.3;
+  // The 1.3x floor this gate held over the serial full-sort rank path,
+  // scaled by how much slower the reference is than that path was
+  // (1.67-2.55x on a 4-vCPU x86 host): 1.3 x 2.55 ~= 3.4, so changing the
+  // denominator does not weaken the gate. Measured speedups run 23-37x.
+  constexpr double kSpeedupFloor = 3.4;
   if (mismatches > 0) {
-    std::printf("FAIL: %zu answer mismatches vs the serial oracle\n",
+    std::printf("FAIL: %zu answer mismatches vs the reference oracle\n",
                 mismatches);
     return 1;
   }

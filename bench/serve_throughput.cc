@@ -4,11 +4,11 @@
 // The stream replays the survey questions several times with repeats —
 // heavy-traffic ad search is dominated by popular recurring questions, the
 // workload the prepared-query cache targets. Verifies byte-identical
-// answers (CanonicalAskResultString) across all serving modes before
-// timing, including the seed Type-rank executor (the PR 2 baseline the
-// planner/ColumnStore speedup is measured against) — any mismatch exits
-// non-zero, which the CI smoke step relies on. Emits
-// BENCH_serve_throughput.json for the CI perf artifact.
+// answers (CanonicalAskResultString) across all serving modes, and against
+// the reference oracle (reference/reference_ask.h: the paper's algorithm
+// over the seed Type-rank executor, the baseline every speedup is measured
+// against) — any mismatch exits non-zero, which the CI smoke step relies
+// on. Emits BENCH_serve_throughput.json for the CI perf artifact.
 //
 // Usage: serve_throughput [num_workers] [passes]
 #include <chrono>
@@ -19,6 +19,7 @@
 #include "bench_util.h"
 #include "core/ask_types.h"
 #include "eval/experiments.h"
+#include "reference/reference_ask.h"
 #include "serve/concurrent_server.h"
 #include "serve/worker_pool.h"
 
@@ -57,22 +58,19 @@ int main(int argc, char** argv) {
     (void)engine.Ask(stream[i]);
   }
 
-  // PR 2 baseline: sequential Ask through the seed Type-rank executor.
-  core::EngineOptions seed_options;
-  seed_options.use_planner = false;
-  world->mutable_engine().SetOptions(seed_options);
-  auto seed_start = Clock::now();
-  std::vector<std::string> seed_expected;
-  seed_expected.reserve(stream.size());
+  // Baseline: sequential ReferenceAsk, the seed algorithm end to end.
+  const auto snapshot = engine.snapshot();
+  auto reference_start = Clock::now();
+  std::vector<std::string> reference_expected;
+  reference_expected.reserve(stream.size());
   for (const auto& q : stream) {
-    auto r = engine.Ask(q);
-    seed_expected.push_back(r.ok() ? core::CanonicalAskResultString(r.value())
-                                   : "ERROR");
+    auto r = reference::ReferenceAsk(*snapshot, q);
+    reference_expected.push_back(
+        r.ok() ? core::CanonicalAskResultString(r.value()) : "ERROR");
   }
-  const auto seed_elapsed = Clock::now() - seed_start;
-  world->mutable_engine().SetOptions(core::EngineOptions());
+  const auto reference_elapsed = Clock::now() - reference_start;
 
-  // Sequential baseline through the engine facade (cost-aware planner).
+  // Sequential Ask through the engine facade (the serving path).
   auto seq_start = Clock::now();
   std::vector<std::string> expected;
   expected.reserve(stream.size());
@@ -83,11 +81,11 @@ int main(int argc, char** argv) {
   }
   const auto seq_elapsed = Clock::now() - seq_start;
 
-  // The planner/ColumnStore path must answer the whole stream byte-
-  // identically to the seed executor.
-  std::size_t planner_mismatches = 0;
+  // The serving path must answer the whole stream byte-identically to the
+  // reference.
+  std::size_t engine_mismatches = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    if (expected[i] != seed_expected[i]) ++planner_mismatches;
+    if (expected[i] != reference_expected[i]) ++engine_mismatches;
   }
 
   double last_qps = 0.0;
@@ -113,7 +111,7 @@ int main(int argc, char** argv) {
     std::printf("%-22s %10.1f q/s   %6.2fx   mismatches=%zu   "
                 "cache h/m/e=%llu/%llu/%llu\n",
                 label, last_qps,
-                std::chrono::duration<double>(seed_elapsed).count() /
+                std::chrono::duration<double>(reference_elapsed).count() /
                     std::chrono::duration<double>(elapsed).count(),
                 mismatches,
                 static_cast<unsigned long long>(stats.hits),
@@ -127,19 +125,19 @@ int main(int argc, char** argv) {
               "%zu\n",
               stream.size(), stream.size() / passes, passes, num_workers);
   bench::PrintRule();
-  std::printf("%-22s %14s %8s   (speedup vs PR 2 seed-executor baseline)\n",
+  std::printf("%-22s %14s %8s   (speedup vs the reference oracle)\n",
               "mode", "throughput", "speedup");
   bench::PrintRule();
-  std::printf("%-22s %10.1f q/s   %6.2fx   (PR 2 baseline)\n",
-              "sequential (seed exec)",
-              QuestionsPerSec(stream.size(), seed_elapsed), 1.0);
-  std::printf("%-22s %10.1f q/s   %6.2fx   planner mismatches=%zu\n",
-              "sequential (planner)",
+  std::printf("%-22s %10.1f q/s   %6.2fx   (baseline)\n",
+              "sequential (reference)",
+              QuestionsPerSec(stream.size(), reference_elapsed), 1.0);
+  std::printf("%-22s %10.1f q/s   %6.2fx   mismatches=%zu\n",
+              "sequential (engine)",
               QuestionsPerSec(stream.size(), seq_elapsed),
-              std::chrono::duration<double>(seed_elapsed).count() /
+              std::chrono::duration<double>(reference_elapsed).count() /
                   std::chrono::duration<double>(seq_elapsed).count(),
-              planner_mismatches);
-  std::size_t bad = planner_mismatches;
+              engine_mismatches);
+  std::size_t bad = engine_mismatches;
   bad += run_server(false, "pooled (no cache)");
   const double pooled_qps = last_qps;
   bad += run_server(true, "pooled + cache");
@@ -171,8 +169,8 @@ int main(int argc, char** argv) {
   json.Add("questions", stream.size());
   json.Add("partition_rows", kPartitionRows);
   json.Add("partitions_per_domain", partition_count);
-  json.Add("seed_qps", QuestionsPerSec(stream.size(), seed_elapsed));
-  json.Add("planner_qps", QuestionsPerSec(stream.size(), seq_elapsed));
+  json.Add("reference_qps", QuestionsPerSec(stream.size(), reference_elapsed));
+  json.Add("engine_qps", QuestionsPerSec(stream.size(), seq_elapsed));
   json.Add("pooled_qps", pooled_qps);
   json.Add("pooled_cache_qps", pooled_cache_qps);
   json.Add("partitioned_cache_qps", partitioned_qps);
@@ -184,7 +182,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "all planner/pooled/cached/partitioned results byte-identical to the "
-      "seed executor\n");
+      "all engine/pooled/cached/partitioned results byte-identical to the "
+      "reference oracle\n");
   return 0;
 }

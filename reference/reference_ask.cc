@@ -1,0 +1,172 @@
+#include "reference/reference_ask.h"
+
+#include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "core/pipeline.h"
+#include "core/rank_sim.h"
+#include "db/exec/delta_exec.h"
+#include "db/executor.h"
+
+namespace cqads::reference {
+namespace {
+
+using core::Answer;
+using core::AskResult;
+using core::ParsedQuestion;
+
+/// The production parse stages. ClassifyStage is a no-op when the context
+/// already names a domain.
+const core::QueryPipeline& ParseStages() {
+  static const core::QueryPipeline* kPipeline = [] {
+    std::vector<std::unique_ptr<core::PipelineStage>> stages;
+    stages.push_back(std::make_unique<core::ClassifyStage>());
+    stages.push_back(std::make_unique<core::TagStage>());
+    stages.push_back(std::make_unique<core::ConditionStage>());
+    stages.push_back(std::make_unique<core::AssembleStage>());
+    stages.push_back(std::make_unique<core::RenderSqlStage>());
+    return new core::QueryPipeline(std::move(stages));
+  }();
+  return *kPipeline;
+}
+
+/// The §4.3.1 N-1 relaxation of a parsed question: all units except
+/// `dropped`, plus the never-dropped fixed fragments, uncapped (ranking
+/// happens before the answer cap).
+db::Query MakeRelaxedQuery(const ParsedQuestion& parsed, std::size_t dropped,
+                           std::size_t table_rows) {
+  const auto& units = parsed.assembled.units;
+  std::vector<db::ExprPtr> parts;
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    if (u != dropped) parts.push_back(units[u].expr);
+  }
+  for (const auto& f : parsed.assembled.fixed) parts.push_back(f);
+  db::Query relaxed;
+  relaxed.where = parts.empty() ? nullptr : db::Expr::MakeAnd(parts);
+  relaxed.limit = table_rows;
+  return relaxed;
+}
+
+/// Runs `query` through the seed executor, unioned with the domain's live
+/// delta (tombstones masked) when there is one.
+Result<db::QueryResult> RunSeed(const core::DomainRuntime& rt,
+                                const db::Query& query) {
+  if (const db::DeltaStore* delta = rt.live_delta()) {
+    return db::exec::ExecuteHybrid(*rt.table, *delta, query,
+                                   db::exec::BaseRowSource{});
+  }
+  return db::ExecuteQuery(*rt.table, query);
+}
+
+Result<AskResult> AnswerInContext(const core::EngineSnapshot& snapshot,
+                                  core::QueryContext* ctx) {
+  Status parsed_ok = ParseStages().Run(snapshot, ctx);
+  if (!parsed_ok.ok()) return parsed_ok;
+  const core::DomainRuntime* rt = snapshot.runtime(ctx->domain);
+  if (rt == nullptr) return Status::NotFound("unknown domain: " + ctx->domain);
+  const core::EngineOptions& options = snapshot.options();
+  const ParsedQuestion& parsed = ctx->parsed;
+  const auto& units = parsed.assembled.units;
+  AskResult& out = ctx->result;
+  out.sql = parsed.sql;
+  out.interpretation = parsed.assembled.interpretation;
+  if (parsed.assembled.contradiction) {
+    out.contradiction = true;
+    return std::move(out);
+  }
+
+  // Exact answers score the number of units (Eq. 5 with nothing dropped).
+  auto exact = RunSeed(*rt, parsed.query);
+  if (!exact.ok()) return exact.status();
+  out.stats = exact.value().stats;
+  for (db::RowId row : exact.value().rows) {
+    out.answers.push_back(
+        Answer{row, true, static_cast<double>(units.size()), ""});
+  }
+  out.exact_count = out.answers.size();
+  if (!options.enable_partial ||
+      out.answers.size() >= options.partial_trigger || units.empty() ||
+      parsed.query.superlative.has_value()) {
+    return std::move(out);
+  }
+
+  const db::Table& table = *rt->table;
+  const db::DeltaStore* delta = rt->live_delta();
+  const std::size_t base_rows = table.num_rows();
+  const std::size_t total_rows =
+      base_rows + (delta != nullptr ? delta->num_rows() : 0);
+  const core::SimilarityContext sim = snapshot.MakeSimilarityContext(*rt);
+  auto score = [&](db::RowId row, std::size_t dropped) {
+    if (row < base_rows) {
+      return core::ScorePartialMatch(table, row, units, dropped, sim);
+    }
+    return core::ScorePartialMatch(table.schema(),
+                                   delta->record(row - base_rows), units,
+                                   dropped, sim);
+  };
+  auto is_live = [&](db::RowId row) {
+    if (delta == nullptr) return true;
+    if (row >= base_rows) return !delta->delta_retired(row - base_rows);
+    const auto& retired = delta->retired_base();
+    return !std::binary_search(retired.begin(), retired.end(), row);
+  };
+
+  // A row belongs to the first pass that reaches it (exact answers first),
+  // which fixes its score and measure label.
+  std::vector<bool> seen(total_rows, false);
+  for (const Answer& a : out.answers) seen[a.row] = true;
+  std::vector<Answer> partials;
+  if (units.size() >= 2) {
+    for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
+      auto relaxed =
+          RunSeed(*rt, MakeRelaxedQuery(parsed, dropped, total_rows));
+      if (!relaxed.ok()) continue;
+      out.stats += relaxed.value().stats;
+      for (db::RowId row : relaxed.value().rows) {
+        if (seen[row]) continue;
+        seen[row] = true;
+        const core::PartialScore s = score(row, dropped);
+        partials.push_back(Answer{row, false, s.rank_sim, s.measure});
+      }
+    }
+  } else {
+    // A single condition has nothing to relax: every record is matched
+    // against it by similarity alone (§4.3.1, last paragraph).
+    for (db::RowId row = 0; row < total_rows; ++row) {
+      if (seen[row] || !is_live(row)) continue;
+      const core::PartialScore s = score(row, 0);
+      if (s.unit_sim <= 0.0) continue;
+      partials.push_back(Answer{row, false, s.rank_sim, s.measure});
+    }
+  }
+
+  std::sort(partials.begin(), partials.end(),
+            [](const Answer& a, const Answer& b) {
+              if (a.rank_sim != b.rank_sim) return a.rank_sim > b.rank_sim;
+              return a.row < b.row;
+            });
+  for (const Answer& p : partials) {
+    if (out.answers.size() >= options.answer_cap) break;
+    out.answers.push_back(p);
+  }
+  return std::move(out);
+}
+
+}  // namespace
+
+Result<AskResult> ReferenceAskInDomain(const core::EngineSnapshot& snapshot,
+                                       const std::string& domain,
+                                       const std::string& question) {
+  core::QueryContext ctx(question, domain);
+  return AnswerInContext(snapshot, &ctx);
+}
+
+Result<AskResult> ReferenceAsk(const core::EngineSnapshot& snapshot,
+                               const std::string& question) {
+  core::QueryContext ctx(question);
+  return AnswerInContext(snapshot, &ctx);
+}
+
+}  // namespace cqads::reference

@@ -1,8 +1,8 @@
 // Request/response value types of the ask path, shared by the staged
-// pipeline (core/pipeline.h), the engine facade (core/cqads_engine.h), and
-// the serving layer (serve/). Hoisted out of CqadsEngine so the pipeline,
-// the prepared-query cache, and the server can name them without pulling in
-// the engine.
+// pipeline (core/pipeline.h), the engine facade (core/cqads_engine.h), the
+// serving layer (serve/), and the test-only reference oracle (reference/).
+// Hoisted out of CqadsEngine so the pipeline, the prepared-query cache, and
+// the server can name them without pulling in the engine.
 #ifndef CQADS_CORE_ASK_TYPES_H_
 #define CQADS_CORE_ASK_TYPES_H_
 
@@ -30,7 +30,11 @@ class TaskRunner;
 
 namespace cqads::core {
 
-/// Engine-wide knobs (formerly CqadsEngine::Options).
+/// Engine-wide knobs (formerly CqadsEngine::Options). None of them picks
+/// an execution strategy: every question is answered by the one serving
+/// path (compiled plans, block-at-a-time kernels, term substrate, top-k
+/// rank), whose answers the test-only reference oracle in reference/
+/// reproduces byte for byte from the seed algorithm.
 struct EngineOptions {
   /// §4.3.1: at most 30 answers per question.
   std::size_t answer_cap = 30;
@@ -38,42 +42,14 @@ struct EngineOptions {
   /// than this.
   std::size_t partial_trigger = 30;
   bool enable_partial = true;
-  /// Execute through compiled cost-aware plans over the column store
-  /// (db/exec). When false, the seed row-at-a-time Executor with the §4.3
-  /// Type-rank order runs instead — answers are identical either way (the
-  /// parity benches and property tests assert it); only the work differs.
-  bool use_planner = true;
   /// Record the plan dump (PhysicalPlan::Explain) in AskResult::explain.
   /// Off by default: the hot path should not build strings nobody reads.
   bool explain_plans = false;
-  /// Parse/rank on the interned-term substrate: the tagger walks the frozen
-  /// FlatTrie and Eq. 5 partial scoring runs id-to-id through a per-request
-  /// SimScorer (no per-candidate stemming or string-pair keys). When false,
-  /// the seed string paths run instead — answers are byte-identical either
-  /// way (the fig6 substrate parity gate and the differential tests pin
-  /// it); only the work differs.
-  bool use_term_substrate = true;
-  /// Execute plans block-at-a-time through the branch-free selection-mask
-  /// kernels (db/exec/vector_kernels.h) and score rank candidates in
-  /// batches (SimScorer::ScoreBlock). When false, the scalar row-at-a-time
-  /// loops run instead — answers are byte-identical either way (the fig6
-  /// vector parity gate and the differential tests pin it); only the work
-  /// differs.
-  bool use_vector_kernels = true;
-  /// Rank partial answers through the bounded top-k path: a size-answer_cap
-  /// accumulator with block-max score pruning (per-1024-row-block upper
-  /// bounds from RankBounds) and morsel-parallel sweeps on exec_runner,
-  /// replacing collect-all + full sort. Requires use_term_substrate (the
-  /// id-keyed SimScorer); with the substrate off the serial full-sort path
-  /// runs regardless. When false, the serial path runs — answers are
-  /// byte-identical either way (the fig6 top-k parity gate and
-  /// tests/test_topk_rank.cc pin it); only the work differs.
-  bool use_topk_rank = true;
   /// Horizontal partitioning: rows per ColumnStore partition. Each domain's
   /// store is sharded into fixed-size row partitions (own dictionaries,
   /// postings, null bitmaps, per-partition stats) and compiled plans run
   /// per-partition, merged answer-identically. 0 = one monolithic store
-  /// (the seed layout). Requires use_planner.
+  /// (the seed layout).
   std::size_t partition_rows = 0;
   /// Threads one query's plan may fan partition morsels across (the calling
   /// thread included). <= 1 = serial partition execution.
@@ -95,7 +71,8 @@ struct ParsedQuestion {
   AssembledQuery assembled;
   db::Query query;      ///< executable form
   std::string sql;      ///< §4.5 nested-subquery SQL text
-  /// Compiled cost-aware plan for `query` (null when planning is disabled).
+  /// Compiled cost-aware plan for `query` (null on a partitioned store and
+  /// for a contradiction, which never executes).
   /// Compiled against one snapshot's table/stats; riding on ParsedQuestion
   /// is what lets the prepared-query cache memoize plans per snapshot
   /// version for free.

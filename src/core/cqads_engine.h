@@ -56,7 +56,7 @@ class CqadsEngine {
   CqadsEngine& operator=(const CqadsEngine&) = delete;
 
   /// Registers a domain: the ads table (indexes built) and its query-log-
-  /// derived TI-matrix. Builds the trie lexicon, tagger, executor, and
+  /// derived TI-matrix. Builds the trie lexicon, tagger, planner, and
   /// attribute ranges, then swaps in a fresh snapshot.
   Status AddDomain(const db::Table* table, qlog::TiMatrix ti_matrix);
 
@@ -99,8 +99,9 @@ class CqadsEngine {
   /// Replaces the engine-wide knobs and swaps in a fresh snapshot (cheap:
   /// domain runtimes are shared). The version bump means prepared-cache
   /// entries — including memoized plans — parsed under the old options are
-  /// never replayed. Used by the parity/efficiency benches to compare the
-  /// cost-aware planner against the seed Type-rank executor on one engine.
+  /// never replayed. No option selects an execution strategy, so every
+  /// setting answers byte-identically to the reference oracle
+  /// (reference/reference_ask.h) on the same snapshot.
   void SetOptions(Options options);
 
   /// Trains the domain classifier on the registered tables' ad texts.

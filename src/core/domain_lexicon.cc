@@ -7,39 +7,6 @@
 
 namespace cqads::core {
 
-namespace {
-
-/// One phrase-match scan, generic over the trie representation (both expose
-/// the same Cursor/Step/Walk/IsTerminal/Handles API and return identical
-/// results).
-template <typename TrieT>
-std::optional<DomainLexicon::PhraseMatch> PhraseMatchIn(
-    const TrieT& trie, const text::TokenList& tokens, std::size_t i,
-    std::size_t max_tokens) {
-  if (i >= tokens.size()) return std::nullopt;
-  typename TrieT::Cursor cursor = trie.Root();
-  std::optional<DomainLexicon::PhraseMatch> best;
-  const std::size_t end = std::min(tokens.size(), i + max_tokens);
-  for (std::size_t j = i; j < end; ++j) {
-    if (j > i) {
-      cursor = trie.Step(cursor, ' ');
-      if (!cursor.valid()) break;
-    }
-    cursor = trie.Walk(cursor, tokens[j].text);
-    if (!cursor.valid()) break;
-    if (trie.IsTerminal(cursor)) {
-      DomainLexicon::PhraseMatch m;
-      m.token_count = j - i + 1;
-      const auto& handles = trie.Handles(cursor);
-      m.handles.assign(handles.begin(), handles.end());
-      best = std::move(m);
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 std::int32_t DomainLexicon::AddEntry(TaggedItem item) {
   entries_.push_back(std::move(item));
   return static_cast<std::int32_t>(entries_.size() - 1);
@@ -138,14 +105,26 @@ Result<DomainLexicon> DomainLexicon::Build(const db::Table* table) {
 std::optional<DomainLexicon::PhraseMatch> DomainLexicon::LongestPhraseMatch(
     const text::TokenList& tokens, std::size_t i,
     std::size_t max_tokens) const {
-  return PhraseMatchIn(trie_, tokens, i, max_tokens);
-}
-
-std::optional<DomainLexicon::PhraseMatch>
-DomainLexicon::LongestPhraseMatchFlat(const text::TokenList& tokens,
-                                      std::size_t i,
-                                      std::size_t max_tokens) const {
-  return PhraseMatchIn(flat_trie_, tokens, i, max_tokens);
+  if (i >= tokens.size()) return std::nullopt;
+  trie::FlatTrie::Cursor cursor = flat_trie_.Root();
+  std::optional<PhraseMatch> best;
+  const std::size_t end = std::min(tokens.size(), i + max_tokens);
+  for (std::size_t j = i; j < end; ++j) {
+    if (j > i) {
+      cursor = flat_trie_.Step(cursor, ' ');
+      if (!cursor.valid()) break;
+    }
+    cursor = flat_trie_.Walk(cursor, tokens[j].text);
+    if (!cursor.valid()) break;
+    if (flat_trie_.IsTerminal(cursor)) {
+      PhraseMatch m;
+      m.token_count = j - i + 1;
+      const auto& handles = flat_trie_.Handles(cursor);
+      m.handles.assign(handles.begin(), handles.end());
+      best = std::move(m);
+    }
+  }
+  return best;
 }
 
 std::optional<TaggedItem> DomainLexicon::FindShorthand(

@@ -4,13 +4,13 @@
 // shared identifiers table — exactly the ingredients §4.1.4 lists.
 //
 // Two trie representations coexist deliberately: the pointer KeywordTrie is
-// the mutable build-side structure (and the oracle the differential suite
-// checks against); Build() compiles it into an immutable FlatTrie whose
-// contiguous node/edge arrays the serve-time tagger walks. Every keyword is
-// also interned into the per-domain TermDict, which caches each term's
-// Porter stem, stopword flag, and normalized shorthand form — shorthand
-// probes read the cached norms instead of re-normalizing every categorical
-// value per unknown token.
+// the mutable build-side structure (and the oracle test_flat_trie checks
+// against); Build() compiles it into an immutable FlatTrie whose contiguous
+// node/edge arrays the tagger walks. Every keyword is also interned into
+// the per-domain TermDict, which caches each term's Porter stem, stopword
+// flag, and normalized shorthand form — shorthand probes read the cached
+// norms instead of re-normalizing every categorical value per unknown
+// token.
 #ifndef CQADS_CORE_DOMAIN_LEXICON_H_
 #define CQADS_CORE_DOMAIN_LEXICON_H_
 
@@ -42,7 +42,7 @@ class DomainLexicon {
   const db::Schema& schema() const { return *schema_; }
   /// Mutable-representation trie (build side; differential oracle).
   const trie::KeywordTrie& trie() const { return trie_; }
-  /// Frozen flat compile of trie() — the serve-time representation.
+  /// Frozen flat compile of trie() — what the tagger walks.
   const trie::FlatTrie& flat_trie() const { return flat_trie_; }
   /// Interned keywords/values with cached stems, stopword flags, and
   /// shorthand norms. Frozen; snapshots publish it per domain.
@@ -54,17 +54,14 @@ class DomainLexicon {
   }
   std::size_t entry_count() const { return entries_.size(); }
 
-  /// Longest multi-token phrase match starting at tokens[i] (phrases are
-  /// stored space-joined in the trie: "less than", "4 wheel drive").
+  /// Longest multi-token phrase match starting at tokens[i], walked over
+  /// the flat trie (phrases are stored space-joined: "less than",
+  /// "4 wheel drive").
   struct PhraseMatch {
     std::size_t token_count = 0;
     std::vector<std::int32_t> handles;
   };
   std::optional<PhraseMatch> LongestPhraseMatch(
-      const text::TokenList& tokens, std::size_t i,
-      std::size_t max_tokens = 5) const;
-  /// Identical semantics over the flat trie (serve-time path).
-  std::optional<PhraseMatch> LongestPhraseMatchFlat(
       const text::TokenList& tokens, std::size_t i,
       std::size_t max_tokens = 5) const;
 

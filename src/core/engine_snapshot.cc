@@ -60,7 +60,6 @@ Result<std::shared_ptr<DomainRuntime>> EngineBuilder::MakeRuntime(
   rt->terms = std::shared_ptr<const text::TermDict>(rt->lexicon,
                                                     &rt->lexicon->terms());
   rt->tagger = std::make_shared<const QuestionTagger>(rt->lexicon.get());
-  rt->executor = std::make_shared<const db::Executor>(table);
   rt->stats = table->stats_ptr();
   rt->planner = std::make_shared<const db::exec::Planner>(table);
   if (options_.partition_rows > 0) {

@@ -2,10 +2,10 @@
 // path so queries can fan out across cores without locks.
 //
 // An EngineSnapshot freezes everything a question needs to be answered:
-// per-domain lexicons/tries, taggers, executors, partitioned stores and
-// planners, the domain's frozen ingest delta, TI-matrices, and Eq. 4
-// attribute ranges (DomainRuntime), plus the trained §3 classifier and the
-// shared WS word-correlation matrix. Snapshots are built by an
+// per-domain lexicons/tries, taggers, planners and partitioned stores, the
+// domain's frozen ingest delta, TI-matrices, and Eq. 4 attribute ranges
+// (DomainRuntime), plus the trained §3 classifier and the shared WS
+// word-correlation matrix. Snapshots are built by an
 // EngineBuilder and handed out as std::shared_ptr<const EngineSnapshot>:
 // the hot path takes a reference, never a lock, and a snapshot can be
 // atomically swapped when a domain is added, an ad ingested or retired, a
@@ -42,7 +42,6 @@
 #include "db/exec/planner.h"
 #include "db/exec/rank_bounds.h"
 #include "db/exec/table_stats.h"
-#include "db/executor.h"
 #include "db/storage/delta_store.h"
 #include "db/table.h"
 #include "qlog/ti_matrix.h"
@@ -77,9 +76,6 @@ struct DomainRuntime {
   /// compaction swaps in the fresh lexicon's copy.
   std::shared_ptr<const text::TermDict> terms;
   std::shared_ptr<const QuestionTagger> tagger;
-  /// Seed §4.3 Type-rank reference path (rankers, parity checks,
-  /// use_planner=false).
-  std::shared_ptr<const db::Executor> executor;
   /// Column statistics frozen at registration: the planner below estimates
   /// against exactly these even if the table were re-indexed later.
   std::shared_ptr<const db::exec::TableStats> stats;
@@ -95,9 +91,9 @@ struct DomainRuntime {
   std::shared_ptr<const db::DeltaStore> delta;
   std::shared_ptr<const qlog::TiMatrix> ti_matrix;
   std::vector<double> attr_ranges;  ///< Eq. 4 normalization
-  /// Per-block code/value summaries of `table` for top-k rank pruning
-  /// (EngineOptions::use_topk_rank). Rebuilt whenever the base table
-  /// changes (registration, compaction, snapshot load); never serialized.
+  /// Per-block code/value summaries of `table` for top-k rank pruning.
+  /// Rebuilt whenever the base table changes (registration, compaction,
+  /// snapshot load); never serialized.
   std::shared_ptr<const db::exec::RankBounds> rank_bounds;
 
   /// The delta when it actually changes answers, nullptr otherwise.
@@ -166,7 +162,7 @@ class EngineBuilder {
   explicit EngineBuilder(EngineOptions options) : options_(options) {}
 
   /// Registers a domain: the ads table (indexes built) and its query-log-
-  /// derived TI-matrix. Builds the trie lexicon, tagger, executor,
+  /// derived TI-matrix. Builds the trie lexicon, tagger, planner,
   /// partitions (when partition_rows > 0), and attribute ranges.
   /// Invalidates classifier training (corpus changed).
   Status AddDomain(const db::Table* table, qlog::TiMatrix ti_matrix);
@@ -247,10 +243,10 @@ class EngineBuilder {
 
   const EngineOptions& options() const { return options_; }
 
-  /// Replaces the engine-wide knobs (answer caps, planner on/off, explain
-  /// recording, partitioning); takes effect in the next Build(). Changing
-  /// partition_rows re-shards every registered domain's store (sharing all
-  /// other runtime components).
+  /// Replaces the engine-wide knobs (answer caps, explain recording,
+  /// partitioning, morsel parallelism); takes effect in the next Build().
+  /// Changing partition_rows re-shards every registered domain's store
+  /// (sharing all other runtime components).
   void set_options(const EngineOptions& options);
 
   bool HasDomain(const std::string& domain) const {

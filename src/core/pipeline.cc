@@ -7,7 +7,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 
 #include "common/failpoint.h"
 #include "db/exec/delta_exec.h"
@@ -30,25 +29,6 @@ Result<const DomainRuntime*> RequireRuntime(const EngineSnapshot& s,
   const DomainRuntime* rt = s.runtime(ctx.domain);
   if (rt == nullptr) return Status::NotFound("unknown domain: " + ctx.domain);
   return rt;
-}
-
-/// The §4.3.1 N-1 relaxation of a parsed question: all units except
-/// `dropped`, plus the never-dropped fixed fragments, uncapped (ranking
-/// happens before the answer cap). The serial rank path runs it as one
-/// query; the top-k path computes the same row set from per-fragment
-/// bitmaps (see RankStage::Run).
-db::Query MakeRelaxedQuery(const ParsedQuestion& parsed, std::size_t dropped,
-                           std::size_t table_rows) {
-  const auto& units = parsed.assembled.units;
-  std::vector<db::ExprPtr> parts;
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    if (u != dropped) parts.push_back(units[u].expr);
-  }
-  for (const auto& f : parsed.assembled.fixed) parts.push_back(f);
-  db::Query relaxed;
-  relaxed.where = parts.empty() ? nullptr : db::Expr::MakeAnd(parts);
-  relaxed.limit = table_rows;
-  return relaxed;
 }
 
 /// True when RankStage's N-1 loop can run for this parse (the conditions
@@ -83,10 +63,10 @@ bool UsePartitions(const DomainRuntime& rt) {
   return rt.partitions != nullptr && rt.parallel_planner != nullptr;
 }
 
-/// Executes `query` over the runtime through the fastest applicable path:
-/// the given precompiled plans when present (compiling is the caller's
-/// defensive fallback), the delta-union path when a live delta rides on the
-/// table, the seed executor when planning is off.
+/// Executes `query` over the runtime through the given precompiled plans
+/// (compiling here is the defensive fallback for a parse put into the
+/// prepared cache without them), unioned with the live delta when one rides
+/// on the table.
 Result<db::QueryResult> RunQuery(const EngineSnapshot& s,
                                  const DomainRuntime& rt,
                                  const db::Query& query,
@@ -99,7 +79,6 @@ Result<db::QueryResult> RunQuery(const EngineSnapshot& s,
   src.runner = options.exec_runner;
   src.parallelism = options.exec_parallelism;
   src.control = control;
-  src.vectorize = options.use_vector_kernels;
   // Morsel-sizing rule: tiny stores execute their shards inline — the
   // enqueue + completion-latch cost of fanning out exceeds the scan.
   if (rt.table->num_rows() < db::exec::kMinRowsForParallelExec) {
@@ -108,28 +87,26 @@ Result<db::QueryResult> RunQuery(const EngineSnapshot& s,
   // Keep defensively-compiled plans alive through execution.
   db::exec::PartitionedPlanPtr compiled_part;
   db::exec::PlanPtr compiled_mono;
-  if (options.use_planner) {
-    if (UsePartitions(rt)) {
-      if (part_plan == nullptr) {
-        auto compiled = rt.parallel_planner->Compile(query);
-        if (!compiled.ok()) return compiled.status();
-        compiled_part = std::move(compiled).value();
-        part_plan = compiled_part.get();
-      }
-      src.part_plan = part_plan;
-    } else {
-      if (plan == nullptr) {
-        auto compiled = rt.planner->Compile(query);
-        if (!compiled.ok()) return compiled.status();
-        compiled_mono = std::move(compiled).value();
-        plan = compiled_mono.get();
-      }
-      src.plan = plan;
+  if (UsePartitions(rt)) {
+    if (part_plan == nullptr) {
+      auto compiled = rt.parallel_planner->Compile(query);
+      if (!compiled.ok()) return compiled.status();
+      compiled_part = std::move(compiled).value();
+      part_plan = compiled_part.get();
     }
-    if (explain_out != nullptr) {
-      *explain_out = src.part_plan != nullptr ? src.part_plan->Explain()
-                                              : src.plan->Explain();
+    src.part_plan = part_plan;
+  } else {
+    if (plan == nullptr) {
+      auto compiled = rt.planner->Compile(query);
+      if (!compiled.ok()) return compiled.status();
+      compiled_mono = std::move(compiled).value();
+      plan = compiled_mono.get();
     }
+    src.plan = plan;
+  }
+  if (explain_out != nullptr) {
+    *explain_out = src.part_plan != nullptr ? src.part_plan->Explain()
+                                            : src.plan->Explain();
   }
 
   const db::DeltaStore* delta = rt.live_delta();
@@ -137,16 +114,13 @@ Result<db::QueryResult> RunQuery(const EngineSnapshot& s,
     return db::exec::ExecuteHybrid(*rt.table, *delta, query, src);
   }
   if (src.part_plan != nullptr) {
-    return src.part_plan->Execute(src.runner, src.parallelism, control,
-                                  src.vectorize);
+    return src.part_plan->Execute(src.runner, src.parallelism, control);
   }
-  if (src.plan != nullptr) return src.plan->Execute(src.vectorize);
-  return db::ExecuteQuery(*rt.table, query);
+  return src.plan->Execute();
 }
 
 // ---------------------------------------------------------------------------
-// Top-k rank machinery (EngineOptions::use_topk_rank). The serial
-// collect-all + sort path below stays frozen as the differential oracle.
+// Top-k rank machinery.
 // ---------------------------------------------------------------------------
 
 /// Words of a row bitmap per rank block: block b's rows are words
@@ -159,16 +133,13 @@ static_assert(db::exec::kRankBlockRows % 64 == 0,
 /// row space [0, total_rows). Fragment f < units.size() is unit f alone,
 /// fragment units.size() the AND of the fixed fragments (every row when
 /// there are none). Base rows come from the fragment's plan (compiled here
-/// when the parse carries none and planning is on, the seed executor when
-/// it is off), live delta rows from the seed row semantics
-/// (db/row_match.h), exactly as RunQuery's delta union would. Retired base
-/// rows are not masked here.
-Result<db::exec::RowBitmap> FragmentRows(const EngineSnapshot& s,
-                                         const DomainRuntime& rt,
+/// when the parse carries none), live delta rows from the seed row
+/// semantics (db/row_match.h), exactly as the delta union of the relaxed
+/// query would. Retired base rows are not masked here.
+Result<db::exec::RowBitmap> FragmentRows(const DomainRuntime& rt,
                                          const ParsedQuestion& parsed,
                                          std::size_t f, std::size_t total_rows,
                                          db::ExecStats* stats) {
-  const EngineOptions& options = s.options();
   const auto& units = parsed.assembled.units;
   const db::ExprPtr expr = f < units.size() ? units[f].expr : FixedExpr(parsed);
   const db::exec::PhysicalPlan* plan =
@@ -181,25 +152,15 @@ Result<db::exec::RowBitmap> FragmentRows(const EngineSnapshot& s,
     rows.ComplementAll();
   } else {
     db::exec::PlanPtr compiled;
-    if (plan == nullptr && options.use_planner) {
+    if (plan == nullptr) {
       auto c = CompileFragment(rt, expr);
       if (!c.ok()) return c.status();
       compiled = std::move(c).value();
       plan = compiled.get();
     }
-    if (plan != nullptr) {
-      auto lazy = plan->ExecuteLazy(stats, options.use_vector_kernels);
-      if (!lazy.ok()) return lazy.status();
-      rows = std::move(lazy).value().ToBitmap(base_rows);
-    } else {
-      db::Query query;
-      query.where = expr;
-      query.limit = base_rows;
-      auto seed = db::ExecuteQuery(*rt.table, query);
-      if (!seed.ok()) return seed.status();
-      *stats += seed.value().stats;
-      rows = db::exec::RowBitmap::FromSet(seed.value().rows, base_rows);
-    }
+    auto lazy = plan->ExecuteLazy(stats);
+    if (!lazy.ok()) return lazy.status();
+    rows = std::move(lazy).value().ToBitmap(base_rows);
   }
   rows.Grow(total_rows);
   if (const db::DeltaStore* delta = rt.live_delta()) {
@@ -407,8 +368,7 @@ Status TagStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   auto rt = RequireRuntime(s, *ctx);
   if (!rt.ok()) return rt.status();
   if (ctx->parsed_from_cache()) return Status::OK();
-  ctx->parsed.tags = rt.value()->tagger->TagTokens(
-      ctx->tokens(), s.options().use_term_substrate);
+  ctx->parsed.tags = rt.value()->tagger->TagTokens(ctx->tokens());
   return Status::OK();
 }
 
@@ -454,7 +414,6 @@ Status RenderSqlStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
 
 Status PlanStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   if (ctx->parsed_from_cache()) return Status::OK();  // plan memoized
-  if (!s.options().use_planner) return Status::OK();
   // A rule-1c contradiction never executes: don't compile (or cache) a
   // plan that cannot run.
   if (ctx->parsed.assembled.contradiction) return Status::OK();
@@ -512,13 +471,12 @@ Status ExecuteStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
     return Status::OK();
   }
 
-  // Compiled (possibly partition-parallel) plan when planning is on, the
-  // seed Type-rank executor otherwise; both union a live ingest delta when
-  // one rides on the table. RunQuery recompiles defensively for
-  // externally-built ParsedQuestions injected through the prepared cache's
-  // public Put() without plans. The request's cancellation context rides
-  // along so partition morsels and delta scans stop mid-flight when the
-  // deadline passes.
+  // The compiled (possibly partition-parallel) plan, unioned with a live
+  // ingest delta when one rides on the table. RunQuery recompiles
+  // defensively for externally-built ParsedQuestions injected through the
+  // prepared cache's public Put() without plans. The request's
+  // cancellation context rides along so partition morsels and delta scans
+  // stop mid-flight when the deadline passes.
   const ExecControl control = ctx->control();
   Result<db::QueryResult> exec =
       RunQuery(s, rt, parsed.query, parsed.part_plan.get(), parsed.plan.get(),
@@ -527,7 +485,7 @@ Status ExecuteStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   if (!exec.ok()) return exec.status();
   ctx->result.stats = exec.value().stats;
   // The plan dump above is static; append the run's block-level work so an
-  // Explain reader sees how much the vectorized path actually touched
+  // Explain reader sees how much the block-at-a-time plan actually touched
   // (never part of the canonical result string).
   if (!ctx->result.explain.empty()) {
     const db::ExecStats& st = ctx->result.stats;
@@ -569,28 +527,11 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
 
   // Scoring over the global id space: base rows read the column store,
   // delta rows their row-major record — identical semantics either way
-  // (core/rank_sim.h record overloads). On the term substrate, a
-  // per-request SimScorer resolves the question side to TermIds once and
-  // memoizes record-side strings, so the per-candidate loop below performs
-  // no stemming and builds no string-pair keys; the legacy free functions
-  // remain the parity oracle.
-  std::optional<SimScorer> scorer;
-  if (options.use_term_substrate) {
-    scorer.emplace(rt.table->schema(), units, sim);
-  }
-  auto score_row = [&](db::RowId row, std::size_t dropped) {
-    if (scorer.has_value()) {
-      if (row < base_rows) return scorer->Score(*rt.table, row, dropped);
-      return scorer->Score(rt.table->schema(),
-                           delta->record(row - base_rows), dropped);
-    }
-    if (row < base_rows) {
-      return ScorePartialMatch(*rt.table, row, units, dropped, sim);
-    }
-    return ScorePartialMatch(rt.table->schema(),
-                             delta->record(row - base_rows), units, dropped,
-                             sim);
-  };
+  // (core/rank_sim.h record overloads). A per-request SimScorer resolves
+  // the question side to TermIds once and memoizes record-side strings, so
+  // the per-candidate loops below perform no stemming and build no
+  // string-pair keys.
+  SimScorer scorer(rt.table->schema(), units, sim);
   // Tombstoned rows never rank (the exact path masks them already; the
   // similarity sweep below must too).
   auto is_live = [&](db::RowId row) {
@@ -614,393 +555,290 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   // (db/exec/rank_bounds.h + SimScorer::ComputeBlockBounds) let whole 1024-
   // row blocks be skipped once the shared threshold rises above their best
   // possible score; both sweeps fan out on the exec morsel scheduler.
-  // Requires the id-keyed SimScorer; the string-keyed oracle path keeps the
-  // serial shape below.
-  if (options.use_topk_rank && scorer.has_value()) {
-    const std::size_t cap = options.answer_cap;
-    const std::size_t k =
-        out.answers.size() < cap ? cap - out.answers.size() : 0;
-    const db::exec::RankBounds* rb = rt.rank_bounds.get();
+  const std::size_t cap = options.answer_cap;
+  const std::size_t k =
+      out.answers.size() < cap ? cap - out.answers.size() : 0;
+  const db::exec::RankBounds* rb = rt.rank_bounds.get();
 
-    db::exec::TaskRunner* runner = options.exec_runner;
-    std::size_t par = options.exec_parallelism;
-    if (runner == nullptr || par <= 1) {
-      runner = nullptr;
-      par = 1;
-    }
-    RankSlots slots(std::min<std::size_t>(par, 64), rt.table->schema(), units,
-                    sim, &*scorer, k);
-    std::atomic<double> shared_threshold{slots.slot(0).topk.threshold()};
-    const double exact_part = static_cast<double>(units.size()) - 1.0;
-    std::vector<double> ub;  // per-block unit-similarity upper bounds
-    bool degraded = false;
+  db::exec::TaskRunner* runner = options.exec_runner;
+  std::size_t par = options.exec_parallelism;
+  if (runner == nullptr || par <= 1) {
+    runner = nullptr;
+    par = 1;
+  }
+  RankSlots slots(std::min<std::size_t>(par, 64), rt.table->schema(), units,
+                  sim, &scorer, k);
+  std::atomic<double> shared_threshold{slots.slot(0).topk.threshold()};
+  const double exact_part = static_cast<double>(units.size()) - 1.0;
+  std::vector<double> ub;  // per-block unit-similarity upper bounds
+  bool degraded = false;
 
-    auto score_and_push = [&](RankSlots::Slot& sl, const db::RowId* rows,
-                              std::size_t n, std::size_t dropped,
-                              bool require_positive) {
-      if (n == 0) return;
-      sl.rank.resize(n);
-      sl.unit.resize(n);
-      if (options.use_vector_kernels) {
-        sl.scorer->ScoreBlock(*rt.table, rows, n, dropped, sl.rank.data(),
-                              sl.unit.data());
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          PartialScore p = sl.scorer->Score(*rt.table, rows[i], dropped);
-          sl.rank[i] = p.rank_sim;
-          sl.unit[i] = p.unit_sim;
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (require_positive && sl.unit[i] <= 0.0) continue;
-        if (sl.topk.Push(sl.rank[i], rows[i],
-                         static_cast<std::uint32_t>(dropped)) &&
-            sl.topk.full()) {
-          RaiseThreshold(&shared_threshold, sl.topk.threshold(),
-                         &sl.threshold_updates);
-        }
-      }
-    };
-    // Delta rows are row-major; scored serially on the caller after the
-    // parallel base sweep finished (slot 0 is then free, and its scorer is
-    // the request scorer).
-    auto push_delta_row = [&](db::RowId row, std::size_t dropped,
-                              bool require_positive) {
-      PartialScore p = scorer->Score(rt.table->schema(),
-                                     delta->record(row - base_rows), dropped);
-      if (require_positive && p.unit_sim <= 0.0) return;
-      RankSlots::Slot& sl = slots.slot(0);
-      if (sl.topk.Push(p.rank_sim, row, static_cast<std::uint32_t>(dropped)) &&
+  auto score_and_push = [&](RankSlots::Slot& sl, const db::RowId* rows,
+                            std::size_t n, std::size_t dropped,
+                            bool require_positive) {
+    if (n == 0) return;
+    sl.rank.resize(n);
+    sl.unit.resize(n);
+    sl.scorer->ScoreBlock(*rt.table, rows, n, dropped, sl.rank.data(),
+                          sl.unit.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (require_positive && sl.unit[i] <= 0.0) continue;
+      if (sl.topk.Push(sl.rank[i], rows[i],
+                       static_cast<std::uint32_t>(dropped)) &&
           sl.topk.full()) {
         RaiseThreshold(&shared_threshold, sl.topk.threshold(),
                        &sl.threshold_updates);
       }
+    }
+  };
+  // Delta rows are row-major; scored serially on the caller after the
+  // parallel base sweep finished (slot 0 is then free, and its scorer is
+  // the request scorer).
+  auto push_delta_row = [&](db::RowId row, std::size_t dropped,
+                            bool require_positive) {
+    PartialScore p = scorer.Score(rt.table->schema(),
+                                  delta->record(row - base_rows), dropped);
+    if (require_positive && p.unit_sim <= 0.0) return;
+    RankSlots::Slot& sl = slots.slot(0);
+    if (sl.topk.Push(p.rank_sim, row, static_cast<std::uint32_t>(dropped)) &&
+        sl.topk.full()) {
+      RaiseThreshold(&shared_threshold, sl.topk.threshold(),
+                     &sl.threshold_updates);
+    }
+  };
+
+  if (units.size() >= 2) {
+    // N-1 relaxation as set algebra. Relaxation d selects F AND every
+    // unit but d (F: the fixed fragments), which is the row set of the
+    // paper's relaxed query d (the reference oracle runs each one), so
+    // each fragment is evaluated ONCE per request as a bitmap
+    // over the global row space and every pass is word-parallel ANDs.
+    // Tombstones: retired delta rows never enter a fragment, retired base
+    // rows are cleared from F once.
+    const std::size_t n_units = units.size();
+    std::vector<db::exec::RowBitmap> frag;  // units 0..N-1, then F
+    std::vector<char> empty;
+    for (std::size_t f = 0; f <= n_units; ++f) {
+      if (control.Expired()) {
+        degraded = true;
+        break;
+      }
+      auto rows = FragmentRows(rt, parsed, f, total_rows, &out.stats);
+      // A fragment that cannot be evaluated selects nothing: the passes
+      // that keep it are skipped, as a failing relaxed query skips its
+      // pass.
+      frag.push_back(rows.ok() ? std::move(rows).value()
+                               : db::exec::RowBitmap(total_rows));
+      empty.push_back(!frag.back().AnySet());
+    }
+    if (!degraded && delta != nullptr) {
+      for (db::RowId r : delta->retired_base()) frag[n_units].Reset(r);
+    }
+
+    // The word holding row `base_rows` may hold base and delta rows both:
+    // block runs read its low bits, the delta sweep its high bits.
+    const std::size_t n_words = already.word_count();
+    const std::size_t base_words = (base_rows + 63) / 64;
+    const std::size_t tail_word = base_rows / 64;
+    const std::uint64_t tail_base_bits =
+        (std::uint64_t{1} << (base_rows % 64)) - 1;
+    std::vector<std::uint64_t> cand(n_words);  // this pass's new rows
+    auto base_word = [&](std::size_t w) {
+      return w == tail_word ? cand[w] & tail_base_bits : cand[w];
     };
-
-    if (units.size() >= 2) {
-      // N-1 relaxation as set algebra. Relaxation d selects F AND every
-      // unit but d (F: the fixed fragments), which is MakeRelaxedQuery(d)'s
-      // row set, so each fragment is evaluated ONCE per request as a bitmap
-      // over the global row space and every pass is word-parallel ANDs.
-      // Tombstones: retired delta rows never enter a fragment, retired base
-      // rows are cleared from F once.
-      const std::size_t n_units = units.size();
-      std::vector<db::exec::RowBitmap> frag;  // units 0..N-1, then F
-      std::vector<char> empty;
+    std::vector<const std::uint64_t*> kept;
+    // A rank block holding `rows` of the pass's base candidates.
+    struct BlockRun {
+      std::size_t block, rows;
+    };
+    std::vector<BlockRun> runs;
+    for (std::size_t dropped = 0; !degraded && dropped < n_units;
+         ++dropped) {
+      if (control.Expired()) {
+        degraded = true;
+        break;
+      }
+      kept.clear();
+      bool empty_pass = false;
       for (std::size_t f = 0; f <= n_units; ++f) {
-        if (control.Expired()) {
-          degraded = true;
-          break;
-        }
-        auto rows = FragmentRows(s, rt, parsed, f, total_rows, &out.stats);
-        // A fragment that cannot be evaluated selects nothing: the passes
-        // that keep it are skipped, as a failing relaxed query skipped its
-        // pass.
-        frag.push_back(rows.ok() ? std::move(rows).value()
-                                 : db::exec::RowBitmap(total_rows));
-        empty.push_back(!frag.back().AnySet());
+        if (f == dropped) continue;
+        empty_pass = empty_pass || empty[f];
+        kept.push_back(frag[f].word_data());
       }
-      if (!degraded && delta != nullptr) {
-        for (db::RowId r : delta->retired_base()) frag[n_units].Reset(r);
+      if (empty_pass) continue;
+      // Passes run in d order and dedup against every earlier pass (and
+      // the exact answers), so the first pass to reach a row owns its
+      // measure label, exactly as in the paper's pass-by-pass loop.
+      std::uint64_t* seen = already.word_data();
+      for (std::size_t w = 0; w < n_words; ++w) {
+        std::uint64_t pass = kept[0][w];
+        for (std::size_t j = 1; j < kept.size(); ++j) pass &= kept[j][w];
+        cand[w] = pass & ~seen[w];
+        seen[w] |= pass;
       }
-
-      // The word holding row `base_rows` may hold base and delta rows both:
-      // block runs read its low bits, the delta sweep its high bits.
-      const std::size_t n_words = already.word_count();
-      const std::size_t base_words = (base_rows + 63) / 64;
-      const std::size_t tail_word = base_rows / 64;
-      const std::uint64_t tail_base_bits =
-          (std::uint64_t{1} << (base_rows % 64)) - 1;
-      std::vector<std::uint64_t> cand(n_words);  // this pass's new rows
-      auto base_word = [&](std::size_t w) {
-        return w == tail_word ? cand[w] & tail_base_bits : cand[w];
-      };
-      std::vector<const std::uint64_t*> kept;
-      // A rank block holding `rows` of the pass's base candidates.
-      struct BlockRun {
-        std::size_t block, rows;
-      };
-      std::vector<BlockRun> runs;
-      for (std::size_t dropped = 0; !degraded && dropped < n_units;
-           ++dropped) {
-        if (control.Expired()) {
-          degraded = true;
-          break;
+      runs.clear();
+      std::size_t n_base = 0;
+      for (std::size_t w_lo = 0; w_lo < base_words; w_lo += kRankBlockWords) {
+        const std::size_t w_hi = std::min(w_lo + kRankBlockWords, base_words);
+        std::size_t rows = 0;
+        for (std::size_t w = w_lo; w < w_hi; ++w) {
+          rows += db::exec::PopCount64(base_word(w));
         }
-        kept.clear();
-        bool empty_pass = false;
-        for (std::size_t f = 0; f <= n_units; ++f) {
-          if (f == dropped) continue;
-          empty_pass = empty_pass || empty[f];
-          kept.push_back(frag[f].word_data());
-        }
-        if (empty_pass) continue;
-        // Passes run in d order and dedup against every earlier pass (and
-        // the exact answers), so the first pass to reach a row owns its
-        // measure label, exactly like the serial path.
-        std::uint64_t* seen = already.word_data();
-        for (std::size_t w = 0; w < n_words; ++w) {
-          std::uint64_t pass = kept[0][w];
-          for (std::size_t j = 1; j < kept.size(); ++j) pass &= kept[j][w];
-          cand[w] = pass & ~seen[w];
-          seen[w] |= pass;
-        }
-        runs.clear();
-        std::size_t n_base = 0;
-        for (std::size_t w_lo = 0; w_lo < base_words; w_lo += kRankBlockWords) {
-          const std::size_t w_hi = std::min(w_lo + kRankBlockWords, base_words);
-          std::size_t rows = 0;
-          for (std::size_t w = w_lo; w < w_hi; ++w) {
-            rows += db::exec::PopCount64(base_word(w));
-          }
-          if (rows != 0) runs.push_back(BlockRun{w_lo / kRankBlockWords, rows});
-          n_base += rows;
-        }
-        const bool prunable =
-            rb != nullptr && n_base >= kMinRankRowsForBounds &&
-            scorer->ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
-        // A prunable pass visits its blocks best bound first (stable: equal
-        // bounds keep row order), so the threshold nears its final value in
-        // the first block scored and later blocks prune against it. Order
-        // never changes the answer: TopK keeps the exact (score, row) prefix
-        // whatever the push order, and a block is skipped only when its
-        // bound is STRICTLY below the threshold.
-        if (prunable) {
-          std::stable_sort(runs.begin(), runs.end(),
-                           [&](const BlockRun& a, const BlockRun& b) {
-                             return ub[a.block] > ub[b.block];
-                           });
-        }
-        const bool par_pass =
-            runner != nullptr && n_base >= db::exec::kMinRowsForParallelExec;
-        // One block per morsel; the serial pass is the same loop run inline.
-        // Row ids are gathered only for blocks that are scored.
-        auto body = [&, dropped](std::size_t m) {
-          const BlockRun& run = runs[m];
-          const std::size_t s_idx = slots.Acquire();
-          RankSlots::Slot& sl = slots.slot(s_idx);
-          if (prunable &&
-              exact_part + ub[run.block] <
-                  shared_threshold.load(std::memory_order_relaxed)) {
-            ++sl.blocks_skipped;
-            sl.rows_pruned += run.rows;
-          } else {
-            ++sl.blocks_visited;
-            sl.rows.resize(run.rows);
-            db::RowId* dst = sl.rows.data();
-            const std::size_t w_lo = run.block * kRankBlockWords;
-            const std::size_t w_hi =
-                std::min(w_lo + kRankBlockWords, base_words);
-            for (std::size_t w = w_lo; w < w_hi; ++w) {
-              for (std::uint64_t bits = base_word(w); bits != 0;
-                   bits &= bits - 1) {
-                *dst++ = static_cast<db::RowId>(w * 64 +
-                                                __builtin_ctzll(bits));
-              }
-            }
-            score_and_push(sl, sl.rows.data(), run.rows, dropped,
-                           /*require_positive=*/false);
-          }
-          slots.Release(s_idx);
-        };
-        if (!db::exec::RunMorsels(runs.size(), par_pass ? par : 1,
-                                  par_pass ? runner : nullptr, body,
-                                  &control)) {
-          degraded = true;
-          break;
-        }
-        // Delta candidates: the bits at or past base_rows, ascending.
-        for (std::size_t w = tail_word; delta != nullptr && w < n_words; ++w) {
-          std::uint64_t bits = w == tail_word ? cand[w] & ~tail_base_bits
-                                              : cand[w];
-          for (; bits != 0; bits &= bits - 1) {
-            push_delta_row(
-                static_cast<db::RowId>(w * 64 + __builtin_ctzll(bits)),
-                dropped, /*require_positive=*/false);
-          }
-        }
+        if (rows != 0) runs.push_back(BlockRun{w_lo / kRankBlockWords, rows});
+        n_base += rows;
       }
-    } else {
-      // Single-condition full-table sweep, block-at-a-time. A block whose
-      // bound cannot reach the threshold (STRICT compare — an equal-score
-      // smaller-row candidate can still displace the k-th entry) or cannot
-      // produce a positive similarity is skipped without gathering a row.
-      const bool prunable = rb != nullptr &&
-                            base_rows >= kMinRankRowsForBounds &&
-                            scorer->ComputeBlockBounds(*rt.table, *rb, 0, &ub);
-      const std::size_t nb =
-          (base_rows + db::exec::kRankBlockRows - 1) /
-          db::exec::kRankBlockRows;
-      constexpr std::size_t kBlocksPerMorsel = 4;
-      const std::size_t n_morsels =
-          (nb + kBlocksPerMorsel - 1) / kBlocksPerMorsel;
-      const bool par_sweep =
-          runner != nullptr &&
-          base_rows >= db::exec::kMinRowsForParallelExec;
-      auto body = [&](std::size_t m) {
+      const bool prunable =
+          rb != nullptr && n_base >= kMinRankRowsForBounds &&
+          scorer.ComputeBlockBounds(*rt.table, *rb, dropped, &ub);
+      // A prunable pass visits its blocks best bound first (stable: equal
+      // bounds keep row order), so the threshold nears its final value in
+      // the first block scored and later blocks prune against it. Order
+      // never changes the answer: TopK keeps the exact (score, row) prefix
+      // whatever the push order, and a block is skipped only when its
+      // bound is STRICTLY below the threshold.
+      if (prunable) {
+        std::stable_sort(runs.begin(), runs.end(),
+                         [&](const BlockRun& a, const BlockRun& b) {
+                           return ub[a.block] > ub[b.block];
+                         });
+      }
+      const bool par_pass =
+          runner != nullptr && n_base >= db::exec::kMinRowsForParallelExec;
+      // One block per morsel; the serial pass is the same loop run inline.
+      // Row ids are gathered only for blocks that are scored.
+      auto body = [&, dropped](std::size_t m) {
+        const BlockRun& run = runs[m];
         const std::size_t s_idx = slots.Acquire();
         RankSlots::Slot& sl = slots.slot(s_idx);
-        const std::size_t b_lo = m * kBlocksPerMorsel;
-        const std::size_t b_hi = std::min(b_lo + kBlocksPerMorsel, nb);
-        for (std::size_t b = b_lo; b < b_hi; ++b) {
-          const db::RowId r_lo =
-              static_cast<db::RowId>(b * db::exec::kRankBlockRows);
-          const db::RowId r_hi = static_cast<db::RowId>(
-              std::min((b + 1) * db::exec::kRankBlockRows, base_rows));
-          if (prunable) {
-            const double t =
-                shared_threshold.load(std::memory_order_relaxed);
-            if (ub[b] <= 0.0 || ub[b] < t) {
-              ++sl.blocks_skipped;
-              sl.rows_pruned += r_hi - r_lo;
-              continue;
+        if (prunable &&
+            exact_part + ub[run.block] <
+                shared_threshold.load(std::memory_order_relaxed)) {
+          ++sl.blocks_skipped;
+          sl.rows_pruned += run.rows;
+        } else {
+          ++sl.blocks_visited;
+          sl.rows.resize(run.rows);
+          db::RowId* dst = sl.rows.data();
+          const std::size_t w_lo = run.block * kRankBlockWords;
+          const std::size_t w_hi =
+              std::min(w_lo + kRankBlockWords, base_words);
+          for (std::size_t w = w_lo; w < w_hi; ++w) {
+            for (std::uint64_t bits = base_word(w); bits != 0;
+                 bits &= bits - 1) {
+              *dst++ = static_cast<db::RowId>(w * 64 +
+                                              __builtin_ctzll(bits));
             }
           }
-          ++sl.blocks_visited;
-          sl.rows.clear();
-          for (db::RowId r = r_lo; r < r_hi; ++r) {
-            if (!already.Test(r) && is_live(r)) sl.rows.push_back(r);
-          }
-          score_and_push(sl, sl.rows.data(), sl.rows.size(), 0,
-                         /*require_positive=*/true);
+          score_and_push(sl, sl.rows.data(), run.rows, dropped,
+                         /*require_positive=*/false);
         }
         slots.Release(s_idx);
       };
-      if (!db::exec::RunMorsels(n_morsels, par_sweep ? par : 1,
-                                par_sweep ? runner : nullptr, body,
+      if (!db::exec::RunMorsels(runs.size(), par_pass ? par : 1,
+                                par_pass ? runner : nullptr, body,
                                 &control)) {
         degraded = true;
-      }
-      if (delta != nullptr && !degraded) {
-        for (db::RowId row = base_rows; row < total_rows; ++row) {
-          if ((row - base_rows) % 512 == 0 && control.Expired()) {
-            degraded = true;
-            break;
-          }
-          if (already.Test(row) || !is_live(row)) continue;
-          push_delta_row(row, 0, /*require_positive=*/true);
-        }
-      }
-    }
-
-    // Deterministic merge: the union of per-worker top-ks contains the
-    // global top-k (see db/exec/topk.h), so re-selecting over the union
-    // reproduces the serial answer regardless of morsel schedule.
-    db::exec::TopK merged(k);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      RankSlots::Slot& sl = slots.slot(i);
-      merged.Merge(std::move(sl.topk));
-      out.stats.rank_blocks_visited += sl.blocks_visited;
-      out.stats.rank_blocks_skipped += sl.blocks_skipped;
-      out.stats.rank_rows_pruned += sl.rows_pruned;
-      out.stats.rank_threshold_updates += sl.threshold_updates;
-    }
-    for (const auto& e : merged.Take()) {
-      out.answers.push_back(
-          Answer{e.row, false, e.score, scorer->unit_measure(e.tag)});
-    }
-    if (degraded) out.degraded = true;
-    if (!out.explain.empty()) {
-      const db::ExecStats& st = out.stats;
-      out.explain +=
-          "rank: blocks_visited=" + std::to_string(st.rank_blocks_visited) +
-          " blocks_skipped=" + std::to_string(st.rank_blocks_skipped) +
-          " rows_pruned=" + std::to_string(st.rank_rows_pruned) +
-          " threshold_updates=" +
-          std::to_string(st.rank_threshold_updates) + "\n";
-    }
-    return Status::OK();
-  }
-
-  std::vector<Answer> partials;
-  // Batched Eq. 5 (SimScorer::ScoreBlock) for base-table candidates: the
-  // RowRef adapter, code-tuple memo, and measure string are hoisted out of
-  // the per-row loop. Reordering pushes into `partials` is safe — the final
-  // sort's (rank_sim, row) key is a total order over the unique rows. Delta
-  // rows are row-major and keep the per-row path.
-  const bool batch_scoring =
-      scorer.has_value() && options.use_vector_kernels;
-  std::vector<db::RowId> batch;
-  std::vector<double> batch_rank, batch_unit;
-  auto flush_batch = [&](std::size_t dropped, bool require_positive) {
-    if (batch.empty()) return;
-    batch_rank.resize(batch.size());
-    batch_unit.resize(batch.size());
-    scorer->ScoreBlock(*rt.table, batch.data(), batch.size(), dropped,
-                       batch_rank.data(), batch_unit.data());
-    const std::string& measure = scorer->unit_measure(dropped);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (require_positive && batch_unit[i] <= 0.0) continue;
-      partials.push_back(Answer{batch[i], false, batch_rank[i], measure});
-    }
-    batch.clear();
-  };
-  if (units.size() >= 2) {
-    // N-1: drop each unit in turn and evaluate the remaining conditions as
-    // one query, compiled on demand; RunQuery unions the delta when one is
-    // live.
-    for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
-      if (control.Expired()) {
-        out.degraded = true;
         break;
       }
-      auto rel = RunQuery(s, rt, MakeRelaxedQuery(parsed, dropped, total_rows),
-                          nullptr, nullptr, nullptr, &control);
-      if (!rel.ok()) {
-        if (rel.status().code() == StatusCode::kDeadlineExceeded) {
-          out.degraded = true;
-          break;
+      // Delta candidates: the bits at or past base_rows, ascending.
+      for (std::size_t w = tail_word; delta != nullptr && w < n_words; ++w) {
+        std::uint64_t bits = w == tail_word ? cand[w] & ~tail_base_bits
+                                            : cand[w];
+        for (; bits != 0; bits &= bits - 1) {
+          push_delta_row(
+              static_cast<db::RowId>(w * 64 + __builtin_ctzll(bits)),
+              dropped, /*require_positive=*/false);
         }
-        continue;
       }
-      out.stats += rel.value().stats;
-      for (db::RowId row : rel.value().rows) {
-        if (already.Test(row)) continue;
-        already.Set(row);
-        if (batch_scoring && row < base_rows) {
-          batch.push_back(row);
-          continue;
-        }
-        PartialScore score = score_row(row, dropped);
-        partials.push_back(Answer{row, false, score.rank_sim, score.measure});
-      }
-      flush_batch(dropped, /*require_positive=*/false);
     }
   } else {
-    // Single-condition questions: similarity-match every record against the
-    // lone condition (§4.3.1 last paragraph).
-    constexpr db::RowId kCancelCheckRows = 512;
-    constexpr std::size_t kScoreBatchRows = 1024;
-    for (db::RowId row = 0; row < total_rows; ++row) {
-      if (row % kCancelCheckRows == 0 && control.Expired()) {
-        out.degraded = true;
-        break;
-      }
-      if (already.Test(row) || !is_live(row)) continue;
-      if (batch_scoring && row < base_rows) {
-        batch.push_back(row);
-        if (batch.size() >= kScoreBatchRows) {
-          flush_batch(0, /*require_positive=*/true);
+    // Single-condition full-table sweep, block-at-a-time. A block whose
+    // bound cannot reach the threshold (STRICT compare — an equal-score
+    // smaller-row candidate can still displace the k-th entry) or cannot
+    // produce a positive similarity is skipped without gathering a row.
+    const bool prunable = rb != nullptr &&
+                          base_rows >= kMinRankRowsForBounds &&
+                          scorer.ComputeBlockBounds(*rt.table, *rb, 0, &ub);
+    const std::size_t nb =
+        (base_rows + db::exec::kRankBlockRows - 1) /
+        db::exec::kRankBlockRows;
+    constexpr std::size_t kBlocksPerMorsel = 4;
+    const std::size_t n_morsels =
+        (nb + kBlocksPerMorsel - 1) / kBlocksPerMorsel;
+    const bool par_sweep =
+        runner != nullptr &&
+        base_rows >= db::exec::kMinRowsForParallelExec;
+    auto body = [&](std::size_t m) {
+      const std::size_t s_idx = slots.Acquire();
+      RankSlots::Slot& sl = slots.slot(s_idx);
+      const std::size_t b_lo = m * kBlocksPerMorsel;
+      const std::size_t b_hi = std::min(b_lo + kBlocksPerMorsel, nb);
+      for (std::size_t b = b_lo; b < b_hi; ++b) {
+        const db::RowId r_lo =
+            static_cast<db::RowId>(b * db::exec::kRankBlockRows);
+        const db::RowId r_hi = static_cast<db::RowId>(
+            std::min((b + 1) * db::exec::kRankBlockRows, base_rows));
+        if (prunable) {
+          const double t =
+              shared_threshold.load(std::memory_order_relaxed);
+          if (ub[b] <= 0.0 || ub[b] < t) {
+            ++sl.blocks_skipped;
+            sl.rows_pruned += r_hi - r_lo;
+            continue;
+          }
         }
-        continue;
+        ++sl.blocks_visited;
+        sl.rows.clear();
+        for (db::RowId r = r_lo; r < r_hi; ++r) {
+          if (!already.Test(r) && is_live(r)) sl.rows.push_back(r);
+        }
+        score_and_push(sl, sl.rows.data(), sl.rows.size(), 0,
+                       /*require_positive=*/true);
       }
-      PartialScore score = score_row(row, 0);
-      if (score.unit_sim <= 0.0) continue;
-      partials.push_back(Answer{row, false, score.rank_sim, score.measure});
+      slots.Release(s_idx);
+    };
+    if (!db::exec::RunMorsels(n_morsels, par_sweep ? par : 1,
+                              par_sweep ? runner : nullptr, body,
+                              &control)) {
+      degraded = true;
     }
-    // Rows gathered before a deadline break were already visited: score
-    // them (the scalar path would have, too, before reaching the break).
-    flush_batch(0, /*require_positive=*/true);
+    if (delta != nullptr && !degraded) {
+      for (db::RowId row = base_rows; row < total_rows; ++row) {
+        if ((row - base_rows) % 512 == 0 && control.Expired()) {
+          degraded = true;
+          break;
+        }
+        if (already.Test(row) || !is_live(row)) continue;
+        push_delta_row(row, 0, /*require_positive=*/true);
+      }
+    }
   }
 
-  std::sort(partials.begin(), partials.end(),
-            [](const Answer& a, const Answer& b) {
-              if (a.rank_sim != b.rank_sim) return a.rank_sim > b.rank_sim;
-              return a.row < b.row;
-            });
-  for (const auto& p : partials) {
-    if (out.answers.size() >= options.answer_cap) break;
-    out.answers.push_back(p);
+  // Deterministic merge: the union of per-worker top-ks contains the
+  // global top-k (see db/exec/topk.h), so re-selecting over the union
+  // reproduces the single-worker answer regardless of morsel schedule.
+  db::exec::TopK merged(k);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    RankSlots::Slot& sl = slots.slot(i);
+    merged.Merge(std::move(sl.topk));
+    out.stats.rank_blocks_visited += sl.blocks_visited;
+    out.stats.rank_blocks_skipped += sl.blocks_skipped;
+    out.stats.rank_rows_pruned += sl.rows_pruned;
+    out.stats.rank_threshold_updates += sl.threshold_updates;
+  }
+  for (const auto& e : merged.Take()) {
+    out.answers.push_back(
+        Answer{e.row, false, e.score, scorer.unit_measure(e.tag)});
+  }
+  if (degraded) out.degraded = true;
+  if (!out.explain.empty()) {
+    const db::ExecStats& st = out.stats;
+    out.explain +=
+        "rank: blocks_visited=" + std::to_string(st.rank_blocks_visited) +
+        " blocks_skipped=" + std::to_string(st.rank_blocks_skipped) +
+        " rows_pruned=" + std::to_string(st.rank_rows_pruned) +
+        " threshold_updates=" +
+        std::to_string(st.rank_threshold_updates) + "\n";
   }
   return Status::OK();
 }

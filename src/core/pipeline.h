@@ -7,6 +7,12 @@
 // mutable state: everything request-scoped (intermediate artifacts, the
 // answer under construction, timings, the request RNG) lives in the
 // context, so one snapshot serves any number of concurrent contexts.
+//
+// There is one serving path: tag on the frozen flat trie, execute compiled
+// plans block-at-a-time, rank partials through the pruned top-k sweep.
+// Its answers are checked against the test-only reference oracle
+// (reference/reference_ask.h), which runs the same parse stages and then
+// the paper's algorithm over the seed executor and string-keyed scoring.
 #ifndef CQADS_CORE_PIPELINE_H_
 #define CQADS_CORE_PIPELINE_H_
 
@@ -174,17 +180,15 @@ class RenderSqlStage : public PipelineStage {
 /// relaxation's fragments: one monolithic plan per match unit and one for
 /// the fixed fragments, which RankStage combines. Part of the parse-side
 /// pipeline, so the prepared-query cache memoizes compiled plans per
-/// snapshot version along with the rest of the ParsedQuestion. No-op when
-/// EngineOptions::use_planner is off.
+/// snapshot version along with the rest of the ParsedQuestion.
 class PlanStage : public PipelineStage {
  public:
   const char* name() const override { return "plan"; }
   Status Run(const EngineSnapshot& s, QueryContext* ctx) const override;
 };
 
-/// §4.3/§4.5 exact evaluation — through the compiled plan (or the seed
-/// Type-rank executor when planning is off); short-circuits on a
-/// contradiction.
+/// §4.3/§4.5 exact evaluation through the compiled plan, unioned with the
+/// live ingest delta; short-circuits on a contradiction.
 class ExecuteStage : public PipelineStage {
  public:
   const char* name() const override { return "execute"; }
@@ -192,13 +196,14 @@ class ExecuteStage : public PipelineStage {
 };
 
 /// §4.3.1-4.3.2: N-1 partial retrieval ranked by Rank_Sim, capped at 30.
-/// The top-k path evaluates each unit and the fixed fragments once, as row
-/// bitmaps, and builds relaxation d as the AND of the fixed fragments and
-/// every unit but d, word by word; the serial oracle (use_topk_rank off)
-/// runs each relaxation as its own query. Degradable: under deadline
-/// pressure it stops after the best-so-far relaxation pass (the partials
-/// collected so far are still sorted and appended) and marks the result
-/// degraded rather than returning nothing.
+/// It evaluates each unit and the fixed fragments once, as row bitmaps,
+/// builds relaxation d as the AND of the fixed fragments and every unit
+/// but d, word by word, and selects the top k with block-max pruning (the
+/// reference oracle runs each relaxation as its own query and sorts every
+/// candidate). Degradable: under deadline pressure it stops after the
+/// best-so-far relaxation pass (the partials collected so far are still
+/// ranked and appended) and marks the result degraded rather than
+/// returning nothing.
 class RankStage : public PipelineStage {
  public:
   const char* name() const override { return "rank"; }

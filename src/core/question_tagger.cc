@@ -23,43 +23,14 @@ int KindPriority(TagKind kind) {
   }
 }
 
-/// Phrase-match dispatch per trie representation (the two lexicon methods
-/// are separate names, not overloads, so the template impl routes here).
-std::optional<DomainLexicon::PhraseMatch> PhraseMatch(
-    const DomainLexicon& lexicon, const trie::KeywordTrie&,
-    const text::TokenList& tokens, std::size_t i) {
-  return lexicon.LongestPhraseMatch(tokens, i);
-}
-std::optional<DomainLexicon::PhraseMatch> PhraseMatch(
-    const DomainLexicon& lexicon, const trie::FlatTrie&,
-    const text::TokenList& tokens, std::size_t i) {
-  return lexicon.LongestPhraseMatchFlat(tokens, i);
-}
-
-/// Uniform handle lookup: KeywordTrie::Find returns vector* (nullable),
-/// FlatTrie::Find a span by value.
-trie::HandleSpan FindHandles(const trie::KeywordTrie& trie,
-                             const std::string& keyword) {
-  const auto* v = trie.Find(keyword);
-  if (v == nullptr) return trie::HandleSpan{};
-  return trie::HandleSpan{v->data(), v->size()};
-}
-trie::HandleSpan FindHandles(const trie::FlatTrie& trie,
-                             const std::string& keyword) {
-  return trie.Find(keyword);
-}
-
 }  // namespace
 
 QuestionTagger::QuestionTagger(const DomainLexicon* lexicon, Options options)
     : lexicon_(lexicon),
       options_(options),
-      corrector_(&lexicon->trie(),
+      corrector_(&lexicon->flat_trie(),
                  trie::SpellCorrectorOptions{options.min_correction_percent,
-                                             512}),
-      flat_corrector_(
-          &lexicon->flat_trie(),
-          trie::SpellCorrectorOptions{options.min_correction_percent, 512}) {}
+                                             512}) {}
 
 const TaggedItem& QuestionTagger::PreferredEntry(const std::int32_t* handles,
                                                  std::size_t count) const {
@@ -71,16 +42,14 @@ const TaggedItem& QuestionTagger::PreferredEntry(const std::int32_t* handles,
   return *best;
 }
 
-template <typename TrieT, typename CorrectorT>
-TaggingResult QuestionTagger::TagImpl(text::TokenList tokens,
-                                      const TrieT& trie,
-                                      const CorrectorT& corrector) const {
+TaggingResult QuestionTagger::TagTokens(text::TokenList tokens) const {
+  const trie::FlatTrie& trie = lexicon_->flat_trie();
   TaggingResult result;
 
   std::size_t i = 0;
   while (i < tokens.size()) {
     // 1. Longest trie phrase starting here (values, operators, attr names).
-    if (auto match = PhraseMatch(*lexicon_, trie, tokens, i)) {
+    if (auto match = lexicon_->LongestPhraseMatch(tokens, i)) {
       TaggedItem item =
           PreferredEntry(match->handles.data(), match->handles.size());
       item.token_begin = i;
@@ -169,11 +138,11 @@ TaggingResult QuestionTagger::TagImpl(text::TokenList tokens,
 
     // 6. Spelling correction against the trie.
     if (tok.text.size() >= options_.min_correction_length) {
-      if (auto corrected = corrector.Correct(tok.text)) {
+      if (auto corrected = corrector_.Correct(tok.text)) {
         result.corrections.push_back(
             tok.text + " -> " + corrected->keyword + " (" +
             FormatDouble(corrected->percent, 0) + "%)");
-        const trie::HandleSpan handles = FindHandles(trie, corrected->keyword);
+        const trie::HandleSpan handles = trie.Find(corrected->keyword);
         if (!handles.empty()) {
           TaggedItem item = PreferredEntry(handles.begin(), handles.size());
           item.token_begin = i;
@@ -193,15 +162,7 @@ TaggingResult QuestionTagger::TagImpl(text::TokenList tokens,
 }
 
 TaggingResult QuestionTagger::Tag(const std::string& question) const {
-  return TagImpl(text::Tokenize(question), lexicon_->trie(), corrector_);
-}
-
-TaggingResult QuestionTagger::TagTokens(const text::TokenList& tokens,
-                                        bool use_flat) const {
-  if (use_flat) {
-    return TagImpl(tokens, lexicon_->flat_trie(), flat_corrector_);
-  }
-  return TagImpl(tokens, lexicon_->trie(), corrector_);
+  return TagTokens(text::Tokenize(question));
 }
 
 }  // namespace cqads::core

@@ -3,10 +3,9 @@
 // domain trie, resolves shorthand notations, and emits the tagged items the
 // condition builder consumes.
 //
-// The tagger runs over either trie representation: the frozen FlatTrie
-// (serve-time default, EngineOptions::use_term_substrate) or the seed's
-// pointer KeywordTrie (the legacy path the parity gates compare against).
-// Both produce byte-identical TaggingResults.
+// The tagger walks the domain's frozen FlatTrie (phrase matching,
+// segmentation, spelling correction); the pointer KeywordTrie it was
+// compiled from stays build-side only.
 #ifndef CQADS_CORE_QUESTION_TAGGER_H_
 #define CQADS_CORE_QUESTION_TAGGER_H_
 
@@ -43,20 +42,14 @@ class QuestionTagger {
       : QuestionTagger(lexicon, Options()) {}
   QuestionTagger(const DomainLexicon* lexicon, Options options);
 
-  /// Tags a raw question (legacy pointer-trie path; tokenizes internally).
+  /// Tags a raw question (tokenizes internally).
   TaggingResult Tag(const std::string& question) const;
 
   /// Tags pre-tokenized input — the pipeline tokenizes each question ONCE
-  /// into QueryContext and hands the tokens here. `use_flat` selects the
-  /// frozen flat trie (serve default) or the pointer-trie oracle.
-  TaggingResult TagTokens(const text::TokenList& tokens,
-                          bool use_flat) const;
+  /// into QueryContext and hands the tokens here.
+  TaggingResult TagTokens(text::TokenList tokens) const;
 
  private:
-  template <typename TrieT, typename CorrectorT>
-  TaggingResult TagImpl(text::TokenList tokens, const TrieT& trie,
-                        const CorrectorT& corrector) const;
-
   /// Picks the preferred handle when a keyword is ambiguous: Type I beats
   /// Type II beats everything else (identity is the stronger signal).
   const TaggedItem& PreferredEntry(const std::int32_t* handles,
@@ -64,8 +57,7 @@ class QuestionTagger {
 
   const DomainLexicon* lexicon_;
   Options options_;
-  trie::SpellCorrector corrector_;           ///< pointer-trie (oracle) path
-  trie::FlatSpellCorrector flat_corrector_;  ///< serve-time path
+  trie::FlatSpellCorrector corrector_;
 };
 
 }  // namespace cqads::core

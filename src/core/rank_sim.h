@@ -5,15 +5,17 @@
 //   Type II  Feat_Sim from the WS word-correlation matrix (normalized)
 //   Type III Num_Sim(T,V) = 1 - |T-V| / AttributeValueRange (Eq. 4)
 //
-// Two scoring paths coexist:
+// Two scoring forms coexist:
 //   * the seed free functions below (string-keyed: every call re-stems and
-//     re-tokenizes) — kept as the parity oracle;
-//   * SimScorer, the id-keyed per-request scorer: question-side values are
-//     tokenized and resolved to TermIds once per request, record-side
-//     strings are memoized on first sight (dictionary-encoded stores repeat
-//     them heavily), and every similarity probe is an id-to-id CSR lookup.
-// Both produce byte-identical PartialScores; the differential tests and the
-// fig6 substrate parity gate pin it.
+//     re-tokenizes) — what the reference oracle (reference/reference_ask.h)
+//     scores with;
+//   * SimScorer, the id-keyed per-request scorer RankStage serves with:
+//     question-side values are tokenized and resolved to TermIds once per
+//     request, record-side strings are memoized on first sight (dictionary-
+//     encoded stores repeat them heavily), and every similarity probe is an
+//     id-to-id CSR lookup.
+// Both produce byte-identical PartialScores; test_term_substrate pins it
+// per row, and the reference parity gates pin it end to end.
 #ifndef CQADS_CORE_RANK_SIM_H_
 #define CQADS_CORE_RANK_SIM_H_
 
@@ -111,8 +113,8 @@ class SimScorer {
   /// they are memoized per distinct code tuple when the unit reads at most
   /// two attributes. Either way the result is bit-identical to Score() row
   /// by row, with the RowRef adapter, memo probes, and measure-string
-  /// composition hoisted out of the candidate loop. RankStage's full-table
-  /// and relaxation sweeps use this under EngineOptions::use_vector_kernels.
+  /// composition hoisted out of the candidate loop. RankStage scores every
+  /// base-table candidate of its full-table and relaxation sweeps with it.
   void ScoreBlock(const db::Table& table, const db::RowId* rows,
                   std::size_t n, std::size_t dropped_unit, double* rank_sims,
                   double* unit_sims);

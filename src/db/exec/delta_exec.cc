@@ -19,17 +19,16 @@ Result<QueryResult> ExecuteHybrid(const Table& base, const DeltaStore& delta,
   QueryResult result;
   const std::size_t base_rows = base.num_rows();
 
-  // 1. Base rows through the fastest available path, uncapped and unsorted
-  //    (plain ascending RowIds).
+  // 1. Base rows through the given plan (the seed executor without one),
+  //    uncapped and unsorted (plain ascending RowIds).
   RowSet rows;
   if (source.part_plan != nullptr) {
     auto r = source.part_plan->ExecuteRowSet(source.runner, source.parallelism,
-                                             &result.stats, source.control,
-                                             source.vectorize);
+                                             &result.stats, source.control);
     if (!r.ok()) return r.status();
     rows = std::move(r).value();
   } else if (source.plan != nullptr) {
-    auto r = source.plan->ExecuteRowSet(&result.stats, source.vectorize);
+    auto r = source.plan->ExecuteRowSet(&result.stats);
     if (!r.ok()) return r.status();
     rows = std::move(r).value();
   } else {

@@ -1,6 +1,7 @@
 // Delta-union query execution: one query answered over a base table (via
-// whichever compiled path is available — partitioned plan, monolithic plan,
-// or the seed Type-rank executor) PLUS a row-major DeltaStore riding on it.
+// the compiled plan the serving path hands in — partitioned or monolithic —
+// or, with no plan, the seed Type-rank executor the reference oracle uses)
+// PLUS a row-major DeltaStore riding on it.
 //
 //   base rows   index/plan-driven, then tombstoned base rows masked out
 //   delta rows  row-at-a-time scan with the seed value semantics
@@ -39,10 +40,6 @@ struct BaseRowSource {
   /// Cooperative cancellation (common/deadline.h): checked per partition
   /// morsel and per delta-scan chunk. Null = run to completion.
   const ExecControl* control = nullptr;
-  /// Block-at-a-time kernels for the base plan paths
-  /// (EngineOptions::use_vector_kernels); false runs the scalar loops.
-  /// Delta rows are row-major and always scan row-at-a-time.
-  bool vectorize = true;
 };
 
 /// Cell of a global row id: a base-table cell or a delta record's value.

@@ -16,11 +16,9 @@ PartitionedPlan::PartitionedPlan(PartitionedTablePtr partitions,
       superlative_(superlative),
       limit_(limit) {}
 
-Result<RowSet> PartitionedPlan::ExecuteRowSet(TaskRunner* runner,
-                                              std::size_t parallelism,
-                                              ExecStats* stats,
-                                              const ExecControl* control,
-                                              bool vectorize) const {
+Result<RowSet> PartitionedPlan::ExecuteRowSet(
+    TaskRunner* runner, std::size_t parallelism, ExecStats* stats,
+    const ExecControl* control) const {
   const std::size_t n = shards_.size();
 
   // Serial fast path: no morsel state, no per-shard slots — shards append
@@ -33,7 +31,7 @@ Result<RowSet> PartitionedPlan::ExecuteRowSet(TaskRunner* runner,
       if (ExecControl::Expired(control)) {
         return Status::DeadlineExceeded("partitioned scan cancelled");
       }
-      auto local = shards_[p]->ExecuteRowSet(stats, vectorize);
+      auto local = shards_[p]->ExecuteRowSet(stats);
       if (!local.ok()) return local.status();
       const RowId base = partitions_->base_of(p);
       for (RowId r : local.value()) rows.push_back(base + r);
@@ -49,7 +47,7 @@ Result<RowSet> PartitionedPlan::ExecuteRowSet(TaskRunner* runner,
 
   const bool complete =
       RunMorsels(n, parallelism, runner, [&](std::size_t p) {
-        auto local = shards_[p]->ExecuteRowSet(&slot_stats[p], vectorize);
+        auto local = shards_[p]->ExecuteRowSet(&slot_stats[p]);
         if (!local.ok()) {
           slot_status[p] = local.status();
           return;
@@ -81,11 +79,9 @@ Result<RowSet> PartitionedPlan::ExecuteRowSet(TaskRunner* runner,
 
 Result<QueryResult> PartitionedPlan::Execute(TaskRunner* runner,
                                              std::size_t parallelism,
-                                             const ExecControl* control,
-                                             bool vectorize) const {
+                                             const ExecControl* control) const {
   QueryResult result;
-  auto row_result =
-      ExecuteRowSet(runner, parallelism, &result.stats, control, vectorize);
+  auto row_result = ExecuteRowSet(runner, parallelism, &result.stats, control);
   if (!row_result.ok()) return row_result.status();
   RowSet rows = std::move(row_result).value();
   // §4.3 step 4 runs once, globally, over the BASE table's cells — never

@@ -56,20 +56,15 @@ class PartitionedPlan {
   /// expiring) deadline, unstarted shard morsels are skipped and the call
   /// returns kDeadlineExceeded — the request releases its workers within
   /// one shard's scan instead of finishing a doomed sweep.
-  /// `vectorize` selects the shards' block-at-a-time kernels
-  /// (EngineOptions::use_vector_kernels); false runs the scalar reference
-  /// loops — identical rows either way.
   Result<RowSet> ExecuteRowSet(TaskRunner* runner, std::size_t parallelism,
                                ExecStats* stats,
-                               const ExecControl* control = nullptr,
-                               bool vectorize = true) const;
+                               const ExecControl* control = nullptr) const;
 
   /// Full execution: ExecuteRowSet, then the global superlative sort (base-
   /// table cells, stable ties by RowId) and the answer cap — byte-identical
   /// to the monolithic plan's Execute.
   Result<QueryResult> Execute(TaskRunner* runner, std::size_t parallelism,
-                              const ExecControl* control = nullptr,
-                              bool vectorize = true) const;
+                              const ExecControl* control = nullptr) const;
 
   const PartitionedTable& partitions() const { return *partitions_; }
   std::size_t num_shards() const { return shards_.size(); }

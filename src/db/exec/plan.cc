@@ -199,7 +199,7 @@ IndexScanNode::IndexScanNode(const Table* table, CompiledPredicate cp,
   est_selectivity = cp_.selectivity;
 }
 
-RowSet IndexScanNode::Execute(ExecStats* stats) const {
+LazyRowSet IndexScanNode::ExecuteLazy(ExecStats* stats) const {
   ++stats->index_lookups;
   const HashIndex* idx = table_->hash_index(cp_.pred.attr);
   RowSet eq;
@@ -207,9 +207,9 @@ RowSet IndexScanNode::Execute(ExecStats* stats) const {
     eq = UnionSets(eq, idx->Lookup(key), table_->num_rows());
   }
   if (cp_.pred.op == CompareOp::kNe) {
-    return DifferenceSets(table_->AllRows(), eq, table_->num_rows());
+    eq = DifferenceSets(table_->AllRows(), eq, table_->num_rows());
   }
-  return eq;
+  return LazyRowSet::FromRows(std::move(eq));
 }
 
 void IndexScanNode::Explain(std::string* out, int depth) const {
@@ -227,7 +227,7 @@ RangeScanNode::RangeScanNode(const Table* table, CompiledPredicate cp)
 LazyRowSet RangeScanNode::ExecuteLazy(ExecStats* stats) const {
   if (est_selectivity < kDenseFraction ||
       cp_.mode != CompiledPredicate::Mode::kNumeric) {
-    return PlanNode::ExecuteLazy(stats);  // index probe, sparse result
+    return LazyRowSet::FromRows(IndexProbe(stats));  // sparse result
   }
   ++stats->full_scans;
   const std::size_t n = table_->num_rows();
@@ -244,7 +244,7 @@ LazyRowSet RangeScanNode::ExecuteLazy(ExecStats* stats) const {
   return LazyRowSet::FromBitmap(std::move(bm));
 }
 
-RowSet RangeScanNode::Execute(ExecStats* stats) const {
+RowSet RangeScanNode::IndexProbe(ExecStats* stats) const {
   ++stats->index_lookups;
   const SortedIndex* idx = table_->sorted_index(cp_.pred.attr);
   const double t = cp_.lo;
@@ -281,7 +281,7 @@ SubstringScanNode::SubstringScanNode(const Table* table, CompiledPredicate cp)
   est_selectivity = cp_.selectivity;
 }
 
-RowSet SubstringScanNode::Execute(ExecStats* stats) const {
+LazyRowSet SubstringScanNode::ExecuteLazy(ExecStats* stats) const {
   ++stats->index_lookups;
   const NGramIndex* idx = table_->ngram_index(cp_.pred.attr);
   RowSet candidates = idx->Candidates(cp_.pred.value.AsText());
@@ -304,12 +304,12 @@ RowSet SubstringScanNode::Execute(ExecStats* stats) const {
       }
       if (m != 0) out.push_back(row);
     }
-    return out;
+    return LazyRowSet::FromRows(std::move(out));
   }
   for (RowId row : candidates) {
     if (cp_.Matches(store, row)) out.push_back(row);
   }
-  return out;
+  return LazyRowSet::FromRows(std::move(out));
 }
 
 void SubstringScanNode::Explain(std::string* out, int depth) const {
@@ -322,18 +322,6 @@ FullScanFilterNode::FullScanFilterNode(const Table* table,
                                        CompiledPredicate cp)
     : table_(table), cp_(std::move(cp)) {
   est_selectivity = cp_.selectivity;
-}
-
-RowSet FullScanFilterNode::Execute(ExecStats* stats) const {
-  ++stats->full_scans;
-  const std::size_t n = table_->num_rows();
-  stats->rows_verified += n;
-  RowSet out;
-  const ColumnStore& store = table_->store();
-  for (RowId row = 0; row < n; ++row) {
-    if (cp_.Matches(store, row)) out.push_back(row);
-  }
-  return out;
 }
 
 LazyRowSet FullScanFilterNode::ExecuteLazy(ExecStats* stats) const {
@@ -365,29 +353,6 @@ FilterNode::FilterNode(const Table* table, PlanNodePtr child,
     : table_(table), child_(std::move(child)), residual_(std::move(residual)) {
   est_selectivity = child_->est_selectivity;
   for (const auto& cp : residual_) est_selectivity *= cp.selectivity;
-}
-
-RowSet FilterNode::Execute(ExecStats* stats) const {
-  RowSet rows = child_->Execute(stats);
-  if (rows.empty() || residual_.empty()) return rows;
-  // One pass: each row runs the residual conjunction with early-out, in the
-  // planner's selectivity order — no per-predicate re-scan of the surviving
-  // set (the old shape rebuilt the RowSet once per predicate).
-  const ColumnStore& store = table_->store();
-  stats->rows_verified += rows.size();
-  stats->rows_visited += rows.size();
-  RowSet out;
-  for (RowId row : rows) {
-    bool keep = true;
-    for (const auto& cp : residual_) {
-      if (!cp.Matches(store, row)) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) out.push_back(row);
-  }
-  return out;
 }
 
 LazyRowSet FilterNode::ExecuteLazy(ExecStats* stats) const {
@@ -464,19 +429,6 @@ IntersectNode::IntersectNode(const Table* table,
   for (const auto& c : children_) est_selectivity *= c->est_selectivity;
 }
 
-RowSet IntersectNode::Execute(ExecStats* stats) const {
-  RowSet acc;
-  bool first = true;
-  for (const auto& child : children_) {
-    RowSet s = child->Execute(stats);
-    acc = first ? std::move(s)
-                : IntersectSets(acc, s, table_->num_rows());
-    first = false;
-    if (acc.empty()) break;
-  }
-  return acc;
-}
-
 LazyRowSet IntersectNode::ExecuteLazy(ExecStats* stats) const {
   LazyRowSet acc;
   bool first = true;
@@ -506,14 +458,6 @@ UnionNode::UnionNode(const Table* table, std::vector<PlanNodePtr> children)
   est_selectivity = std::min(1.0, est_selectivity);
 }
 
-RowSet UnionNode::Execute(ExecStats* stats) const {
-  RowSet acc;
-  for (const auto& child : children_) {
-    acc = UnionSets(acc, child->Execute(stats), table_->num_rows());
-  }
-  return acc;
-}
-
 LazyRowSet UnionNode::ExecuteLazy(ExecStats* stats) const {
   LazyRowSet acc;
   for (const auto& child : children_) {
@@ -531,11 +475,6 @@ void UnionNode::Explain(std::string* out, int depth) const {
 NotNode::NotNode(const Table* table, PlanNodePtr child)
     : table_(table), child_(std::move(child)) {
   est_selectivity = std::max(0.0, 1.0 - child_->est_selectivity);
-}
-
-RowSet NotNode::Execute(ExecStats* stats) const {
-  return DifferenceSets(table_->AllRows(), child_->Execute(stats),
-                        table_->num_rows());
 }
 
 LazyRowSet NotNode::ExecuteLazy(ExecStats* stats) const {
@@ -560,26 +499,23 @@ PhysicalPlan::PhysicalPlan(const Table* table, PlanNodePtr root,
       superlative_(superlative),
       limit_(limit) {}
 
-Result<LazyRowSet> PhysicalPlan::ExecuteLazy(ExecStats* stats,
-                                             bool vectorize) const {
+Result<LazyRowSet> PhysicalPlan::ExecuteLazy(ExecStats* stats) const {
   if (!table_->indexes_built()) {
     return Status::FailedPrecondition("table indexes not built");
   }
   if (root_ == nullptr) return LazyRowSet::FromRows(table_->AllRows());
-  if (vectorize) return root_->ExecuteLazy(stats);
-  return LazyRowSet::FromRows(root_->Execute(stats));
+  return root_->ExecuteLazy(stats);
 }
 
-Result<RowSet> PhysicalPlan::ExecuteRowSet(ExecStats* stats,
-                                           bool vectorize) const {
-  auto lazy = ExecuteLazy(stats, vectorize);
+Result<RowSet> PhysicalPlan::ExecuteRowSet(ExecStats* stats) const {
+  auto lazy = ExecuteLazy(stats);
   if (!lazy.ok()) return lazy.status();
   return std::move(lazy).value().ToRows();
 }
 
-Result<QueryResult> PhysicalPlan::Execute(bool vectorize) const {
+Result<QueryResult> PhysicalPlan::Execute() const {
   QueryResult result;
-  auto row_result = ExecuteRowSet(&result.stats, vectorize);
+  auto row_result = ExecuteRowSet(&result.stats);
   if (!row_result.ok()) return row_result.status();
   RowSet rows = std::move(row_result).value();
   ApplySuperlativeAndCap(

@@ -16,9 +16,12 @@
 //                      set algebra; each call picks sorted-vector or bitmap
 //                      representation by density (db/exec/rowset_ops.h)
 //
-// Every node returns a sorted, duplicate-free RowSet, which is what makes
-// planner-chosen predicate orders answer-identical to the seed executor's
-// §4.3 Type-rank order: conjunction reordering changes work, never the set.
+// Every node evaluates block-at-a-time to a sorted, duplicate-free row set
+// (a LazyRowSet: sorted vector or bitmap), which is what makes planner-
+// chosen predicate orders answer-identical to the seed executor's §4.3
+// Type-rank order: conjunction reordering changes work, never the set. The
+// seed executor (db/executor.h) is the row-level oracle the plan tests
+// diff against.
 #ifndef CQADS_DB_EXEC_PLAN_H_
 #define CQADS_DB_EXEC_PLAN_H_
 
@@ -73,23 +76,12 @@ class PlanNode {
  public:
   virtual ~PlanNode() = default;
 
-  /// Evaluates to a sorted, duplicate-free RowSet.
-  ///
-  /// This is the scalar REFERENCE path: row-at-a-time predicate loops, kept
-  /// byte-identical forever so the vectorized path below always has an
-  /// oracle to diff against (EngineOptions::use_vector_kernels = false runs
-  /// it end to end).
-  virtual RowSet Execute(ExecStats* stats) const = 0;
-
-  /// Block-at-a-time evaluation: scans run 1024-row selection masks through
-  /// the branch-free kernels (db/exec/vector_kernels.h) and set operations
-  /// stay word-parallel across adjacent nodes via LazyRowSet. Denotes
-  /// exactly the same set as Execute on every node — only the work differs.
-  /// The default forwards to Execute, so index-seeded leaves (sparse
-  /// results, nothing to vectorize) participate unchanged.
-  virtual LazyRowSet ExecuteLazy(ExecStats* stats) const {
-    return LazyRowSet::FromRows(Execute(stats));
-  }
+  /// Evaluates to a sorted, duplicate-free row set. Scans run 1024-row
+  /// selection masks through the branch-free kernels
+  /// (db/exec/vector_kernels.h) and set operations stay word-parallel
+  /// across adjacent nodes via LazyRowSet; index-seeded leaves (sparse
+  /// results, no blocks to scan) yield the sorted vector form.
+  virtual LazyRowSet ExecuteLazy(ExecStats* stats) const = 0;
 
   /// Appends this node's Explain() line(s): two-space indentation per
   /// depth, children below their parent.
@@ -106,7 +98,7 @@ class IndexScanNode : public PlanNode {
   /// variants present in the index), resolved at compile time.
   IndexScanNode(const Table* table, CompiledPredicate cp,
                 std::vector<std::string> keys);
-  RowSet Execute(ExecStats* stats) const override;
+  LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
   const std::vector<std::string>& keys() const { return keys_; }
@@ -120,7 +112,6 @@ class IndexScanNode : public PlanNode {
 class RangeScanNode : public PlanNode {
  public:
   RangeScanNode(const Table* table, CompiledPredicate cp);
-  RowSet Execute(ExecStats* stats) const override;
   /// Non-selective ranges (est. selectivity >= 1/16) run a branch-free
   /// block scan of the packed column into a bitmap instead of the sorted
   /// index probe: past that density the index path's gather-and-sort of
@@ -131,6 +122,9 @@ class RangeScanNode : public PlanNode {
   void Explain(std::string* out, int depth) const override;
 
  private:
+  /// Sorted-index probe: the selective ranges' sparse row set.
+  RowSet IndexProbe(ExecStats* stats) const;
+
   const Table* table_;
   CompiledPredicate cp_;
 };
@@ -138,7 +132,7 @@ class RangeScanNode : public PlanNode {
 class SubstringScanNode : public PlanNode {
  public:
   SubstringScanNode(const Table* table, CompiledPredicate cp);
-  RowSet Execute(ExecStats* stats) const override;
+  LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
  private:
@@ -149,7 +143,6 @@ class SubstringScanNode : public PlanNode {
 class FullScanFilterNode : public PlanNode {
  public:
   FullScanFilterNode(const Table* table, CompiledPredicate cp);
-  RowSet Execute(ExecStats* stats) const override;
   /// Block-at-a-time scan into a bitmap via the selection-mask kernels.
   LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
@@ -165,15 +158,12 @@ class FilterNode : public PlanNode {
   /// (selectivity) order.
   FilterNode(const Table* table, PlanNodePtr child,
              std::vector<CompiledPredicate> residual);
-  /// Single pass: every residual is applied per row with early-out, not one
-  /// full re-scan of the surviving set per predicate.
-  RowSet Execute(ExecStats* stats) const override;
   /// Dense child: AND each residual's block mask into the child's bitmap,
   /// skipping blocks whose mask is already empty. A sparse child takes the
   /// same path when it holds at least kBlockRows rows filling the blocks it
   /// touches to at least 1/16 (RangeScanNode's dense threshold). Other
-  /// sparse children: one scalar pass (building per-distinct-cell tables
-  /// wouldn't amortize).
+  /// sparse children: one pass applying every residual per row with early-
+  /// out (building per-distinct-cell tables wouldn't amortize).
   LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
@@ -186,7 +176,6 @@ class FilterNode : public PlanNode {
 class IntersectNode : public PlanNode {
  public:
   IntersectNode(const Table* table, std::vector<PlanNodePtr> children);
-  RowSet Execute(ExecStats* stats) const override;
   LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
@@ -198,7 +187,6 @@ class IntersectNode : public PlanNode {
 class UnionNode : public PlanNode {
  public:
   UnionNode(const Table* table, std::vector<PlanNodePtr> children);
-  RowSet Execute(ExecStats* stats) const override;
   LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
@@ -210,7 +198,6 @@ class UnionNode : public PlanNode {
 class NotNode : public PlanNode {
  public:
   NotNode(const Table* table, PlanNodePtr child);
-  RowSet Execute(ExecStats* stats) const override;
   LazyRowSet ExecuteLazy(ExecStats* stats) const override;
   void Explain(std::string* out, int depth) const override;
 
@@ -228,10 +215,8 @@ class PhysicalPlan {
 
   /// Runs the plan. Superlative ordering and the answer cap are applied
   /// exactly as the seed executor does (§4.3 step 4), so results are
-  /// byte-identical for identical row sets. `vectorize` selects the
-  /// block-at-a-time kernels (EngineOptions::use_vector_kernels); false
-  /// runs the scalar reference loops — same rows either way.
-  Result<QueryResult> Execute(bool vectorize = true) const;
+  /// byte-identical for identical row sets.
+  Result<QueryResult> Execute() const;
 
   /// The constraint tree's raw row set — sorted, duplicate-free, BEFORE the
   /// superlative sort and the answer cap. The partition-parallel executor
@@ -239,13 +224,13 @@ class PhysicalPlan {
   /// the delta scan, before applying the final §4.3 step-4 semantics
   /// globally (applying a per-shard cap first would drop rows the global
   /// superlative should have kept).
-  Result<RowSet> ExecuteRowSet(ExecStats* stats, bool vectorize = true) const;
+  Result<RowSet> ExecuteRowSet(ExecStats* stats) const;
 
-  /// The same raw row set in the form the root produced it: the vectorized
-  /// path hands over a dense root's bitmap without materializing row ids
-  /// (the N-1 rank pass combines per-unit bitmaps word by word); the scalar
-  /// path and sparse roots yield the sorted vector.
-  Result<LazyRowSet> ExecuteLazy(ExecStats* stats, bool vectorize = true) const;
+  /// The same raw row set in the form the root produced it: a dense root's
+  /// bitmap is handed over without materializing row ids (the N-1 rank
+  /// pass combines per-unit bitmaps word by word); sparse roots yield the
+  /// sorted vector.
+  Result<LazyRowSet> ExecuteLazy(ExecStats* stats) const;
 
   const std::optional<Superlative>& superlative() const { return superlative_; }
   std::size_t limit() const { return limit_; }

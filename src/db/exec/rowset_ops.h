@@ -90,12 +90,12 @@ class RowBitmap {
 
 /// A row set flowing between plan nodes in whichever representation the
 /// producer found natural: a sorted vector (sparse index results) or a
-/// whole-universe bitmap (block-scan masks). The vectorized execution path
-/// (PlanNode::ExecuteLazy) passes these across adjacent set-operation nodes
+/// whole-universe bitmap (block-scan masks). Plan nodes
+/// (PlanNode::ExecuteLazy) pass these across adjacent set-operation nodes
 /// so a chain of Intersect/Union/Not stays word-parallel end to end instead
 /// of round-tripping through sorted vectors at every node boundary; the set
-/// denoted is identical either way, which is what keeps the vectorized path
-/// byte-identical to the scalar one.
+/// denoted is identical either way, which is what keeps plan answers
+/// byte-identical to the seed executor's.
 struct LazyRowSet {
   /// Engaged = dense (bitmap) representation; `rows` is meaningful
   /// otherwise.

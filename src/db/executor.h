@@ -33,12 +33,12 @@ struct ExecStats {
   std::size_t index_lookups = 0;  ///< hash/sorted/ngram probes
   std::size_t rows_verified = 0;  ///< per-row predicate checks
   std::size_t full_scans = 0;     ///< predicates that fell back to scanning
-  /// Block-at-a-time work (vectorized path only): rows entering residual
+  /// Block-at-a-time work (compiled plans only): rows entering residual
   /// filters and 1024-row blocks actually evaluated (all-zero selection
   /// masks are skipped without touching their predicates).
   std::size_t rows_visited = 0;
   std::size_t blocks_visited = 0;
-  /// Top-k rank-stage work (EngineOptions::use_topk_rank only): 1024-row
+  /// Top-k rank-stage work (RankStage only): 1024-row
   /// candidate blocks actually scored vs skipped because their block-max
   /// score bound fell below the running k-th threshold, rows inside skipped
   /// blocks that were never scored, and successful raises of the shared
@@ -102,8 +102,8 @@ class Executor {
 };
 
 /// Stateless entry point: executes `query` against `table` (indexes built).
-/// Exactly Executor(&table).Execute(query); the pipeline's execution stages
-/// use this form to make the no-shared-state contract explicit.
+/// Exactly Executor(&table).Execute(query); the reference oracle
+/// (reference/reference_ask.h) runs exact and relaxed queries through it.
 Result<QueryResult> ExecuteQuery(const Table& table, const Query& query);
 
 }  // namespace cqads::db

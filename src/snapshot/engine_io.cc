@@ -1,8 +1,8 @@
 // Engine-level snapshot container: SaveEngine lays the builder's complete
 // built state out as named sections ("meta", "ws", "classifier", "dom<i>"),
 // LoadEngine mmaps the file and wires DomainRuntimes around the restored
-// structures. Cheap derived objects (tagger, executor, planner, parallel
-// planner) are reconstructed at load — they are a handful of pointers each —
+// structures. Cheap derived objects (tagger, planner, parallel planner)
+// are reconstructed at load — they are a handful of pointers each —
 // while every heavy structure (tries, CSR matrices, column arrays, index
 // postings, stats) comes out of the file.
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "db/exec/parallel_plan.h"
 #include "db/exec/partitioned_table.h"
 #include "db/exec/planner.h"
-#include "db/executor.h"
 #include "snapshot/serde.h"
 #include "snapshot/snapshot_file.h"
 
@@ -177,7 +176,6 @@ Result<core::EngineBuilder> SerdeAccess::LoadEngine(const std::string& path) {
                                                       &rt->lexicon->terms());
     rt->tagger = std::make_shared<const core::QuestionTagger>(
         rt->lexicon.get());
-    rt->executor = std::make_shared<const db::Executor>(rt->table);
     rt->stats = table->stats_ptr();
     rt->planner = std::make_shared<const db::exec::Planner>(rt->table);
 

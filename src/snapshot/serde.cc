@@ -975,10 +975,7 @@ void SerdeAccess::WriteOptions(const core::EngineOptions& o, ByteWriter* w) {
   w->WriteU64(o.answer_cap);
   w->WriteU64(o.partial_trigger);
   w->WriteBool(o.enable_partial);
-  w->WriteBool(o.use_planner);
   w->WriteBool(o.explain_plans);
-  w->WriteBool(o.use_term_substrate);
-  w->WriteBool(o.use_vector_kernels);
   w->WriteU64(o.partition_rows);
   w->WriteU64(o.exec_parallelism);
   // exec_runner is a process-local pointer; it does not persist.
@@ -991,10 +988,7 @@ Status SerdeAccess::ReadOptions(ByteReader* r, core::EngineOptions* out) {
   CQADS_RETURN_NOT_OK(r->ReadU64(&v));
   out->partial_trigger = static_cast<std::size_t>(v);
   CQADS_RETURN_NOT_OK(r->ReadBool(&out->enable_partial));
-  CQADS_RETURN_NOT_OK(r->ReadBool(&out->use_planner));
   CQADS_RETURN_NOT_OK(r->ReadBool(&out->explain_plans));
-  CQADS_RETURN_NOT_OK(r->ReadBool(&out->use_term_substrate));
-  CQADS_RETURN_NOT_OK(r->ReadBool(&out->use_vector_kernels));
   CQADS_RETURN_NOT_OK(r->ReadU64(&v));
   out->partition_rows = static_cast<std::size_t>(v);
   CQADS_RETURN_NOT_OK(r->ReadU64(&v));

@@ -1,8 +1,9 @@
 // Property-based tests: randomized differential checks of the executor
 // against a brute-force row-by-row reference, the cost-aware planner
-// against the seed Type-rank executor across every datagen domain,
-// robustness of the question pipeline under garbage input, and invariants
-// of the similarity machinery.
+// against the seed Type-rank executor across every datagen domain, served
+// answers against the reference oracle, robustness of the question
+// pipeline under garbage input, and invariants of the similarity
+// machinery.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -11,6 +12,7 @@
 #include "datagen/domain_spec.h"
 #include "db/exec/planner.h"
 #include "db/executor.h"
+#include "reference/reference_ask.h"
 #include "test_fixtures.h"
 
 namespace cqads {
@@ -146,7 +148,7 @@ TEST_P(PlannerDifferentialTest, PlannedExecutionMatchesSeedAcrossDomains) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerDifferentialTest,
                          ::testing::Values(0, 1, 2));
 
-TEST(PlannerDifferentialTest, EngineAnswersIdenticalWithPlannerOnAndOff) {
+TEST(PlannerDifferentialTest, EngineAnswersMatchTheReference) {
   db::Table table = cqads::testing::MiniCarTable();
   const char* questions[] = {
       "honda accord blue less than 15000 dollars",
@@ -157,20 +159,16 @@ TEST(PlannerDifferentialTest, EngineAnswersIdenticalWithPlannerOnAndOff) {
       "gold honda except automatic",
   };
 
-  core::CqadsEngine planner_engine;
-  ASSERT_TRUE(planner_engine.AddDomain(&table, qlog::TiMatrix()).ok());
-  core::EngineOptions seed_options;
-  seed_options.use_planner = false;
-  core::CqadsEngine seed_engine(seed_options);
-  ASSERT_TRUE(seed_engine.AddDomain(&table, qlog::TiMatrix()).ok());
+  core::CqadsEngine engine;
+  ASSERT_TRUE(engine.AddDomain(&table, qlog::TiMatrix()).ok());
 
   for (const char* q : questions) {
-    auto with_planner = planner_engine.AskInDomain("cars", q);
-    auto with_seed = seed_engine.AskInDomain("cars", q);
-    ASSERT_TRUE(with_planner.ok()) << q;
-    ASSERT_TRUE(with_seed.ok()) << q;
-    EXPECT_EQ(core::CanonicalAskResultString(with_planner.value()),
-              core::CanonicalAskResultString(with_seed.value()))
+    auto served = engine.AskInDomain("cars", q);
+    auto want = reference::ReferenceAskInDomain(*engine.snapshot(), "cars", q);
+    ASSERT_TRUE(served.ok()) << q;
+    ASSERT_TRUE(want.ok()) << q;
+    EXPECT_EQ(core::CanonicalAskResultString(served.value()),
+              core::CanonicalAskResultString(want.value()))
         << q;
   }
 }

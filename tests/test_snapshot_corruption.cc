@@ -169,25 +169,34 @@ TEST_F(CorruptionTest, GarbageMagic) {
 }
 
 TEST_F(CorruptionTest, VersionSkew) {
-  std::vector<unsigned char> t = *pristine_;
-  // format_version lives at offset 12 (after magic + endian_mark). Bump it
-  // and re-stamp the header checksum so ONLY the version check can fire —
-  // proving skew is detected on its own, not via checksum fallout.
-  FileHeader h;
-  std::memcpy(&h, t.data(), sizeof(h));
-  h.format_version = snapshot::kFormatVersion + 1;
-  h.header_checksum = 0;
-  h.header_checksum = snapshot::XxHash64(&h, sizeof(h));
-  std::memcpy(t.data(), &h, sizeof(h));
+  // A newer writer (v+1) and an older one (v-1: a snapshot written before
+  // the options section lost its execution-path bools) must both be
+  // refused by the header check, naming the version, instead of being
+  // misparsed section by section.
+  for (const std::uint32_t version :
+       {snapshot::kFormatVersion + 1, snapshot::kFormatVersion - 1}) {
+    std::vector<unsigned char> t = *pristine_;
+    // format_version lives at offset 12 (after magic + endian_mark). Stamp
+    // it and re-stamp the header checksum so ONLY the version check can
+    // fire — proving skew is detected on its own, not via checksum fallout.
+    FileHeader h;
+    std::memcpy(&h, t.data(), sizeof(h));
+    h.format_version = version;
+    h.header_checksum = 0;
+    h.header_checksum = snapshot::XxHash64(&h, sizeof(h));
+    std::memcpy(t.data(), &h, sizeof(h));
 
-  const std::string path = TempPath("skew.snap");
-  Spit(path, t);
-  auto file = SnapshotFile::Open(path);
-  ASSERT_FALSE(file.ok());
-  EXPECT_EQ(file.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(file.status().ToString().find("version"), std::string::npos)
-      << file.status().ToString();
-  std::remove(path.c_str());
+    const std::string path = TempPath("skew.snap");
+    Spit(path, t);
+    auto file = SnapshotFile::Open(path);
+    ASSERT_FALSE(file.ok()) << "v" << version;
+    EXPECT_EQ(file.status().code(), StatusCode::kDataLoss) << "v" << version;
+    EXPECT_NE(file.status().ToString().find("file is v" +
+                                            std::to_string(version)),
+              std::string::npos)
+        << file.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(CorruptionTest, MissingSectionFailsLookup) {

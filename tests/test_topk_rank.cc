@@ -1,10 +1,10 @@
-// The bounded top-k rank path (EngineOptions::use_topk_rank): TopK heap
-// semantics (exact (score desc, row asc) order, tie-safe threshold, k = 0
-// degenerate, schedule-independent merge), RankBounds block metadata,
-// randomized engine-level byte-parity of pruned/parallel ranking against
-// the frozen serial full-sort oracle across all eight datagen domains,
-// score-tie boundaries at answer_cap, delta rows + tombstones across a
-// compaction, deadline-degraded sweeps, rank counters through ExecStats and
+// The bounded top-k rank path: TopK heap semantics (exact (score desc, row
+// asc) order, tie-safe threshold, k = 0 degenerate, schedule-independent
+// merge), RankBounds block metadata, engine-level byte-parity of pruned and
+// morsel-parallel ranking against the reference oracle (reference/) on
+// tie-heavy, clustered, shared-word and 9000-row fleets, score-tie
+// boundaries at answer_cap, delta rows + tombstones across a compaction,
+// deadline-degraded sweeps, rank counters through ExecStats and
 // ConcurrentServer::StatsJson, and the TSan leg racing morsel-parallel rank
 // against ingest/retire/compaction.
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "datagen/world.h"
 #include "db/exec/rank_bounds.h"
 #include "db/exec/topk.h"
+#include "reference/reference_ask.h"
 #include "serve/concurrent_server.h"
 #include "serve/prepared_cache.h"
 #include "serve/worker_pool.h"
@@ -35,6 +36,34 @@ namespace {
 using db::RowId;
 using db::exec::TopK;
 using db::exec::TopKEntry;
+
+/// The reference oracle's canonical answer on the engine's current
+/// snapshot.
+std::string ReferenceCanonical(const core::CqadsEngine& engine,
+                               const std::string& domain,
+                               const std::string& text) {
+  auto r = reference::ReferenceAskInDomain(*engine.snapshot(), domain, text);
+  return r.ok() ? core::CanonicalAskResultString(r.value())
+                : "ERROR: " + r.status().ToString();
+}
+
+/// Asks every question under `options` and requires canonical byte-
+/// identity with the reference oracle on the same snapshot, then restores
+/// the default options.
+void ExpectReferenceParity(
+    core::CqadsEngine& engine, const std::string& domain,
+    const std::vector<datagen::GeneratedQuestion>& questions,
+    const core::EngineOptions& options, const char* label) {
+  engine.SetOptions(options);
+  for (std::size_t i = 0; i < questions.size(); ++i) {
+    auto r = engine.AskInDomain(domain, questions[i].text);
+    EXPECT_EQ(r.ok() ? core::CanonicalAskResultString(r.value())
+                     : "ERROR: " + r.status().ToString(),
+              ReferenceCanonical(engine, domain, questions[i].text))
+        << label << " " << domain << " q" << i << ": " << questions[i].text;
+  }
+  engine.SetOptions(core::EngineOptions());
+}
 
 // ------------------------------------------------------------- TopK unit
 
@@ -166,9 +195,9 @@ TEST(RankBoundsTest, MiniCarBlockMetadata) {
   EXPECT_EQ(year.val_max[0], hi);
 }
 
-// --------------------------------------- world-backed differential suite
+// ------------------------------------------- world-backed rank counters
 
-class TopKRankParityTest : public ::testing::TestWithParam<std::string> {
+class RankCountersTest : public ::testing::TestWithParam<std::string> {
  protected:
   static void SetUpTestSuite() {
     datagen::WorldOptions options;
@@ -187,57 +216,11 @@ class TopKRankParityTest : public ::testing::TestWithParam<std::string> {
   static datagen::World* world_;
 };
 
-datagen::World* TopKRankParityTest::world_ = nullptr;
-
-/// Asks every question under `on` then under `off` and requires canonical
-/// byte-identity pair by pair.
-void ExpectAskParity(core::CqadsEngine& engine, const std::string& domain,
-                     const std::vector<datagen::GeneratedQuestion>& questions,
-                     const core::EngineOptions& on,
-                     const core::EngineOptions& off, const char* label) {
-  auto canon = [&](const std::string& text) {
-    auto r = engine.AskInDomain(domain, text);
-    return r.ok() ? core::CanonicalAskResultString(r.value())
-                  : "ERROR: " + r.status().ToString();
-  };
-  std::vector<std::string> on_answers;
-  engine.SetOptions(on);
-  for (const auto& q : questions) on_answers.push_back(canon(q.text));
-  engine.SetOptions(off);
-  for (std::size_t i = 0; i < questions.size(); ++i) {
-    EXPECT_EQ(on_answers[i], canon(questions[i].text))
-        << label << " " << domain << " q" << i << ": " << questions[i].text;
-  }
-  engine.SetOptions(core::EngineOptions());
-}
-
-// The pruned top-k path answers byte-identically to the frozen serial
-// full-sort oracle — vectorized and scalar.
-TEST_P(TopKRankParityTest, AskByteIdenticalTopKOnAndOff) {
-  const std::string& domain = GetParam();
-  const auto* spec = world_->spec(domain);
-  ASSERT_NE(spec, nullptr);
-  Rng rng(555);
-  auto questions = datagen::GenerateQuestions(
-      *spec, *world_->table(domain), 60, datagen::QuestionGenOptions(), &rng);
-
-  core::EngineOptions on;  // defaults: use_topk_rank = true
-  core::EngineOptions off;
-  off.use_topk_rank = false;
-  ExpectAskParity(world_->mutable_engine(), domain, questions, on, off,
-                  "vectorized");
-
-  core::EngineOptions on_scalar = on;
-  on_scalar.use_vector_kernels = false;
-  core::EngineOptions off_scalar = off;
-  off_scalar.use_vector_kernels = false;
-  ExpectAskParity(world_->mutable_engine(), domain, questions, on_scalar,
-                  off_scalar, "scalar");
-}
+datagen::World* RankCountersTest::world_ = nullptr;
 
 // Partial ranking does real work on this stream, and the new ExecStats
 // counters see it (blocks visited whenever the top-k sweep ran).
-TEST_P(TopKRankParityTest, RankCountersAccumulate) {
+TEST_P(RankCountersTest, AccumulateOverTheStream) {
   const std::string& domain = GetParam();
   const auto* spec = world_->spec(domain);
   ASSERT_NE(spec, nullptr);
@@ -269,7 +252,7 @@ TEST_P(TopKRankParityTest, RankCountersAccumulate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllDomains, TopKRankParityTest,
+    AllDomains, RankCountersTest,
     ::testing::ValuesIn([] {
       std::vector<std::string> names;
       for (const auto& spec : datagen::AllDomainSpecs()) {
@@ -316,22 +299,15 @@ class TieBoundaryTest : public ::testing::Test {
     EXPECT_TRUE(engine_.TrainClassifier().ok());
   }
 
-  std::string CanonicalAsk(const std::string& q) {
-    auto r = engine_.AskInDomain("cars", q);
-    return r.ok() ? core::CanonicalAskResultString(r.value())
-                  : "ERROR: " + r.status().ToString();
-  }
-
   void ExpectParity(const std::vector<std::string>& questions) {
-    core::EngineOptions off;
-    off.use_topk_rank = false;
-    std::vector<std::string> want;
-    engine_.SetOptions(off);
-    for (const auto& q : questions) want.push_back(CanonicalAsk(q));
-    engine_.SetOptions(core::EngineOptions());
-    for (std::size_t i = 0; i < questions.size(); ++i) {
-      EXPECT_EQ(CanonicalAsk(questions[i]), want[i]) << questions[i];
+    std::vector<datagen::GeneratedQuestion> qs;
+    for (const auto& text : questions) {
+      datagen::GeneratedQuestion q;
+      q.text = text;
+      qs.push_back(std::move(q));
     }
+    ExpectReferenceParity(engine_, "cars", qs, core::EngineOptions(),
+                          "tie");
   }
 
   db::Table table_;
@@ -357,7 +333,7 @@ TEST_F(TieBoundaryTest, DeltaRowsAndTombstonesStayByteIdentical) {
   // Grow a delta (new best-scoring candidates above base_rows), tombstone
   // base rows mid-tie-run, and re-check parity before AND after compaction:
   // the pruned path must handle live deltas, retired masks, and the
-  // post-compaction rebuilt table identically to the oracle.
+  // post-compaction rebuilt table identically to the reference.
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(engine_
                     .IngestAd("cars", CarRecord("honda", "fit", 2011, 9500,
@@ -429,10 +405,8 @@ class ClusteredRankTest : public ::testing::Test {
 
 TEST_F(ClusteredRankTest, BestFirstVisitsTheTargetBlockOnly) {
   const auto questions = Questions();
-  core::EngineOptions off;
-  off.use_topk_rank = false;
-  ExpectAskParity(engine_, "cars", questions, core::EngineOptions(), off,
-                  "serial");
+  ExpectReferenceParity(engine_, "cars", questions, core::EngineOptions(),
+                        "serial");
 
   // The first block scored holds the target, so the threshold reaches its
   // final value there and every other block of the group bounds below it.
@@ -451,7 +425,7 @@ TEST_F(ClusteredRankTest, BestFirstVisitsTheTargetBlockOnly) {
   core::EngineOptions parallel;
   parallel.exec_runner = &pool;
   parallel.exec_parallelism = 4;
-  ExpectAskParity(engine_, "cars", questions, parallel, off, "parallel");
+  ExpectReferenceParity(engine_, "cars", questions, parallel, "parallel");
 }
 
 // ------------------------------- N-1 passes over per-unit row bitmaps
@@ -513,27 +487,19 @@ class UnitBitmapRankTest : public ::testing::Test {
     ASSERT_TRUE(engine_.RetireAd("cars", ids[2]).ok());
   }
 
-  /// Top-k on vs the serial oracle, vectorized and scalar, serial and
-  /// 4-way parallel. `cap` overrides answer_cap and partial_trigger.
+  /// Top-k ranking vs the reference, serial and 4-way parallel. `cap`
+  /// overrides answer_cap and partial_trigger.
   void ExpectParityEverywhere(
       const std::vector<datagen::GeneratedQuestion>& questions,
       std::size_t cap = core::EngineOptions().answer_cap) {
     serve::WorkerPool pool(4);
-    for (const bool vectorize : {true, false}) {
-      core::EngineOptions off;
-      off.answer_cap = off.partial_trigger = cap;
-      off.use_topk_rank = false;
-      off.use_vector_kernels = vectorize;
-      core::EngineOptions serial;
-      serial.answer_cap = serial.partial_trigger = cap;
-      serial.use_vector_kernels = vectorize;
-      core::EngineOptions parallel = serial;
-      parallel.exec_runner = &pool;
-      parallel.exec_parallelism = 4;
-      const char* mode = vectorize ? "vectorized" : "scalar";
-      ExpectAskParity(engine_, "cars", questions, serial, off, mode);
-      ExpectAskParity(engine_, "cars", questions, parallel, off, mode);
-    }
+    core::EngineOptions serial;
+    serial.answer_cap = serial.partial_trigger = cap;
+    core::EngineOptions parallel = serial;
+    parallel.exec_runner = &pool;
+    parallel.exec_parallelism = 4;
+    ExpectReferenceParity(engine_, "cars", questions, serial, "serial");
+    ExpectReferenceParity(engine_, "cars", questions, parallel, "parallel");
   }
 
   /// One case per question: the parse shape it must have, so each case
@@ -569,16 +535,6 @@ class UnitBitmapRankTest : public ::testing::Test {
     return qs;
   }
 
-  std::string OracleAsk(const std::string& text) {
-    core::EngineOptions off;
-    off.use_topk_rank = false;
-    engine_.SetOptions(off);
-    auto r = engine_.AskInDomain("cars", text);
-    engine_.SetOptions(core::EngineOptions());
-    return r.ok() ? core::CanonicalAskResultString(r.value())
-                  : "ERROR: " + r.status().ToString();
-  }
-
   db::Table table_;
   core::CqadsEngine engine_;
 };
@@ -603,7 +559,7 @@ TEST_F(UnitBitmapRankTest, CasesHaveTheirClaimedShape) {
   }
 }
 
-TEST_F(UnitBitmapRankTest, SharedWordDeltaAndTombstonesMatchOracle) {
+TEST_F(UnitBitmapRankTest, SharedWordDeltaAndTombstonesMatchReference) {
   const auto questions = Questions();
   ExpectParityEverywhere(questions);
 
@@ -630,40 +586,33 @@ TEST_F(UnitBitmapRankTest, SharedWordDeltaAndTombstonesMatchOracle) {
 // A cap above every pass's candidate count ships every candidate, so the
 // whole relaxation row set, each row once with its owning pass's score and
 // measure, is compared, not just its best 30.
-TEST_F(UnitBitmapRankTest, EveryCandidateMatchesOracleUnderAWideCap) {
+TEST_F(UnitBitmapRankTest, EveryCandidateMatchesReferenceUnderAWideCap) {
   GrowSharedWordDelta();
   ExpectParityEverywhere(Questions(), /*cap=*/20000);
 }
 
 // Tombstones alone make the delta non-empty with no delta rows: the word
 // shared with the (empty) delta range holds base candidates only.
-TEST_F(UnitBitmapRankTest, TombstonesWithoutDeltaRowsMatchOracle) {
+TEST_F(UnitBitmapRankTest, TombstonesWithoutDeltaRowsMatchReference) {
   ASSERT_TRUE(engine_.RetireAd("cars", 10030).ok());
   ASSERT_TRUE(engine_.RetireAd("cars", 10033).ok());
   ExpectParityEverywhere(Questions());
 }
 
-TEST_F(UnitBitmapRankTest, PlannerOffAndPartitionedRuntimesMatchOracle) {
+TEST_F(UnitBitmapRankTest, PartitionedRuntimesMatchReference) {
   GrowSharedWordDelta();
   const auto questions = Questions();
-  core::EngineOptions off;
-  off.use_topk_rank = false;
-
-  // No plans at all: unit rows come from the seed executor.
-  core::EngineOptions seed;
-  seed.use_planner = false;
-  ExpectAskParity(engine_, "cars", questions, seed, off, "use_planner=false");
 
   // A sharded store: the partitioned plan serves the exact query, unit
   // plans stay monolithic.
   serve::WorkerPool pool(4);
   core::EngineOptions sharded;
   sharded.partition_rows = 1000;
-  ExpectAskParity(engine_, "cars", questions, sharded, off, "partitioned");
+  ExpectReferenceParity(engine_, "cars", questions, sharded, "partitioned");
   sharded.exec_runner = &pool;
   sharded.exec_parallelism = 4;
-  ExpectAskParity(engine_, "cars", questions, sharded, off,
-                  "partitioned parallel");
+  ExpectReferenceParity(engine_, "cars", questions, sharded,
+                        "partitioned parallel");
 }
 
 // A ParsedQuestion put into the prepared cache without unit plans (the
@@ -687,7 +636,8 @@ TEST_F(UnitBitmapRankTest, CachedParseWithoutUnitPlansCompilesOnDemand) {
     ctx.cached_parsed = cache.Get("cars", key, snap->version());
     ASSERT_NE(ctx.cached_parsed, nullptr);
     ASSERT_TRUE(core::QueryPipeline::Full().Run(*snap, &ctx).ok()) << c.text;
-    EXPECT_EQ(core::CanonicalAskResultString(ctx.result), OracleAsk(c.text))
+    EXPECT_EQ(core::CanonicalAskResultString(ctx.result),
+              ReferenceCanonical(engine_, "cars", c.text))
         << c.text;
   }
 }
@@ -718,7 +668,7 @@ class BigDomainTest : public ::testing::Test {
 
 datagen::World* BigDomainTest::world_ = nullptr;
 
-TEST_F(BigDomainTest, MorselParallelRankMatchesSerialOracle) {
+TEST_F(BigDomainTest, MorselParallelRankMatchesReference) {
   const auto* spec = world_->spec("cars");
   ASSERT_NE(spec, nullptr);
   Rng rng(321);
@@ -726,13 +676,11 @@ TEST_F(BigDomainTest, MorselParallelRankMatchesSerialOracle) {
       *spec, *world_->table("cars"), 25, datagen::QuestionGenOptions(), &rng);
 
   serve::WorkerPool pool(4);
-  core::EngineOptions parallel_on;
-  parallel_on.exec_runner = &pool;
-  parallel_on.exec_parallelism = 4;
-  core::EngineOptions serial_off;
-  serial_off.use_topk_rank = false;
-  ExpectAskParity(world_->mutable_engine(), "cars", questions, parallel_on,
-                  serial_off, "parallel");
+  core::EngineOptions parallel;
+  parallel.exec_runner = &pool;
+  parallel.exec_parallelism = 4;
+  ExpectReferenceParity(world_->mutable_engine(), "cars", questions, parallel,
+                        "parallel");
 }
 
 // The CI TSan leg: morsel-parallel pruned ranking racing ingest, retire,

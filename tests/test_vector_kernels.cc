@@ -1,11 +1,10 @@
-// The vectorized execution path: every SIMD selection kernel differentially
+// Block-at-a-time execution: every SIMD selection kernel differentially
 // tested against the scalar oracle on adversarial inputs (all-null columns,
 // kNullCode runs, non-multiple-of-64 tails, empty selections, single-row
 // tables), LazyRowSet algebra vs sorted-vector set semantics, plan-level
-// vectorize-on/off row-set identity (including both sides of FilterNode's
-// dense-in-touched-blocks rule), SimScorer::ScoreBlock vs per-row
-// Score, and engine-level byte-parity of the whole ask path with
-// use_vector_kernels on vs off across all eight datagen domains.
+// row-set identity with the seed Executor on the same expression
+// (including both sides of FilterNode's dense-in-touched-blocks rule), and
+// SimScorer::ScoreBlock vs per-row Score across all eight datagen domains.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +14,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,6 +26,7 @@
 #include "db/exec/plan.h"
 #include "db/exec/rowset_ops.h"
 #include "db/exec/vector_kernels.h"
+#include "db/executor.h"
 #include "db/storage/column_store.h"
 
 namespace cqads {
@@ -364,37 +365,43 @@ db::Table FilterRuleTable() {
   return table;
 }
 
-/// Filter(color != 'blue') over IndexScan(make = `make`), run vectorized
-/// and scalar: the row sets must match and keep the NULL-colored rows.
-/// Returns the vectorized run's stats.
+/// Filter(color != 'blue') over IndexScan(make = `make`): the plan's rows
+/// must equal the seed Executor's for make = `make` AND color != 'blue',
+/// and keep the NULL-colored rows. Returns the plan run's stats.
 db::ExecStats ExpectFilterParity(const db::Table& table, const char* make) {
-  auto compile = [&](std::size_t attr, CompareOp op, const char* value) {
-    db::Predicate pred;
-    pred.attr = attr;
-    pred.op = op;
-    pred.value = db::Value::Text(value);
-    return db::exec::CompilePredicate(table, pred);
+  auto pred = [](std::size_t attr, CompareOp op, const char* value) {
+    db::Predicate p;
+    p.attr = attr;
+    p.op = op;
+    p.value = db::Value::Text(value);
+    return p;
   };
+  const db::Predicate make_eq = pred(0, CompareOp::kEq, make);
+  const db::Predicate color_ne = pred(1, CompareOp::kNe, "blue");
   std::vector<db::exec::CompiledPredicate> residuals;
-  residuals.push_back(compile(1, CompareOp::kNe, "blue"));
+  residuals.push_back(db::exec::CompilePredicate(table, color_ne));
   auto root = std::make_unique<db::exec::FilterNode>(
       &table,
       std::make_unique<db::exec::IndexScanNode>(
-          &table, compile(0, CompareOp::kEq, make),
+          &table, db::exec::CompilePredicate(table, make_eq),
           std::vector<std::string>{make}),
       std::move(residuals));
   const db::exec::PhysicalPlan plan(&table, std::move(root), std::nullopt,
                                     table.num_rows());
-  db::ExecStats vec_stats, scalar_stats;
-  auto vec = plan.ExecuteRowSet(&vec_stats, /*vectorize=*/true);
-  auto scalar = plan.ExecuteRowSet(&scalar_stats, /*vectorize=*/false);
-  EXPECT_TRUE(vec.ok() && scalar.ok());
-  if (!vec.ok() || !scalar.ok()) return vec_stats;
-  EXPECT_EQ(vec.value(), scalar.value()) << make;
+  db::ExecStats stats;
+  auto got = plan.ExecuteRowSet(&stats);
+  db::Query q;
+  q.where = db::Expr::MakeAnd({db::Expr::MakePredicate(make_eq),
+                               db::Expr::MakePredicate(color_ne)});
+  q.limit = table.num_rows();
+  auto seed = db::ExecuteQuery(table, q);
+  EXPECT_TRUE(got.ok() && seed.ok());
+  if (!got.ok() || !seed.ok()) return stats;
+  EXPECT_EQ(got.value(), seed.value().rows) << make;
   std::size_t null_rows = 0;
-  for (RowId r : vec.value()) null_rows += table.store().is_null(r, 1);
+  for (RowId r : got.value()) null_rows += table.store().is_null(r, 1);
   EXPECT_GT(null_rows, 0u) << make;
-  return vec_stats;
+  return stats;
 }
 
 TEST(FilterRuleTest, PackedChildTakesBlockMasks) {
@@ -435,10 +442,11 @@ class VectorParityTest : public ::testing::TestWithParam<std::string> {
 
 datagen::World* VectorParityTest::world_ = nullptr;
 
-// Plan-level: the lazy block-at-a-time evaluation of every compiled plan
-// (main, each unit plan and the fixed-fragment plan the N-1 rank pass
-// combines) returns the exact row set of the scalar reference execution.
-TEST_P(VectorParityTest, PlansReturnIdenticalRowSetsVectorizedOrNot) {
+// Plan-level: every compiled plan (main, each unit plan and the fixed-
+// fragment plan the N-1 rank pass combines) returns exactly the row set
+// the seed Executor computes for the plan's expression, superlative and
+// cap stripped.
+TEST_P(VectorParityTest, PlansReturnTheSeedExecutorsRowSets) {
   const std::string& domain = GetParam();
   const auto* spec = world_->spec(domain);
   ASSERT_NE(spec, nullptr);
@@ -446,22 +454,34 @@ TEST_P(VectorParityTest, PlansReturnIdenticalRowSetsVectorizedOrNot) {
   auto questions = datagen::GenerateQuestions(
       *spec, *world_->table(domain), 60, datagen::QuestionGenOptions(), &rng);
 
+  const auto snapshot = world_->engine().snapshot();
+  const db::Table& table = *snapshot->runtime(domain)->table;
   std::size_t plans_checked = 0;
   for (const auto& q : questions) {
     auto parsed = world_->engine().Parse(domain, q.text);
     if (!parsed.ok()) continue;
-    std::vector<db::exec::PlanPtr> plans;
-    plans.push_back(parsed.value().plan);
-    for (const auto& up : parsed.value().unit_plans) plans.push_back(up);
-    plans.push_back(parsed.value().fixed_plan);
-    for (const auto& plan : plans) {
+    const core::ParsedQuestion& p = parsed.value();
+    // Each plan with the expression it was compiled from.
+    std::vector<std::pair<db::exec::PlanPtr, db::ExprPtr>> plans;
+    plans.emplace_back(p.plan, p.query.where);
+    for (std::size_t u = 0; u < p.unit_plans.size(); ++u) {
+      plans.emplace_back(p.unit_plans[u], p.assembled.units[u].expr);
+    }
+    if (p.fixed_plan != nullptr) {
+      plans.emplace_back(p.fixed_plan, db::Expr::MakeAnd(p.assembled.fixed));
+    }
+    for (const auto& [plan, expr] : plans) {
       if (plan == nullptr) continue;
-      db::ExecStats vec_stats, scalar_stats;
-      auto vec = plan->ExecuteRowSet(&vec_stats, /*vectorize=*/true);
-      auto scalar = plan->ExecuteRowSet(&scalar_stats, /*vectorize=*/false);
-      ASSERT_EQ(vec.ok(), scalar.ok()) << domain << " '" << q.text << "'";
-      if (!vec.ok()) continue;
-      ASSERT_EQ(vec.value(), scalar.value()) << domain << " '" << q.text << "'";
+      db::ExecStats stats;
+      auto got = plan->ExecuteRowSet(&stats);
+      db::Query raw;
+      raw.where = expr;
+      raw.limit = table.num_rows();
+      auto seed = db::ExecuteQuery(table, raw);
+      ASSERT_EQ(got.ok(), seed.ok()) << domain << " '" << q.text << "'";
+      if (!got.ok()) continue;
+      ASSERT_EQ(got.value(), seed.value().rows)
+          << domain << " '" << q.text << "'";
       ++plans_checked;
     }
   }
@@ -509,44 +529,6 @@ TEST_P(VectorParityTest, ScoreBlockMatchesPerRowScore) {
         ASSERT_EQ(scorer.unit_measure(dropped), one.measure);
       }
     }
-  }
-}
-
-// Engine-level: the whole ask path answers byte-identically with the
-// vectorized path on vs off (the fig6 gate's in-tree twin).
-TEST_P(VectorParityTest, AskByteIdenticalVectorOnAndOff) {
-  const std::string& domain = GetParam();
-  auto& engine = world_->mutable_engine();
-  const auto* spec = world_->spec(domain);
-  ASSERT_NE(spec, nullptr);
-
-  Rng rng(555);
-  auto questions = datagen::GenerateQuestions(
-      *spec, *world_->table(domain), 60, datagen::QuestionGenOptions(), &rng);
-
-  core::EngineOptions on;  // defaults: use_vector_kernels = true
-  core::EngineOptions off;
-  off.use_vector_kernels = false;
-
-  std::vector<std::string> on_answers, off_answers;
-  engine.SetOptions(on);
-  for (const auto& q : questions) {
-    auto r = engine.AskInDomain(domain, q.text);
-    on_answers.push_back(r.ok() ? core::CanonicalAskResultString(r.value())
-                                : "ERROR: " + r.status().ToString());
-  }
-  engine.SetOptions(off);
-  for (const auto& q : questions) {
-    auto r = engine.AskInDomain(domain, q.text);
-    off_answers.push_back(r.ok() ? core::CanonicalAskResultString(r.value())
-                                 : "ERROR: " + r.status().ToString());
-  }
-  engine.SetOptions(on);
-
-  ASSERT_EQ(on_answers.size(), off_answers.size());
-  for (std::size_t i = 0; i < on_answers.size(); ++i) {
-    EXPECT_EQ(on_answers[i], off_answers[i])
-        << domain << " q" << i << ": " << questions[i].text;
   }
 }
 
