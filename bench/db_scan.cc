@@ -17,13 +17,10 @@
 #include "common/rng.h"
 #include "datagen/ads_generator.h"
 #include "datagen/domain_spec.h"
-#include "db/exec/parallel_plan.h"
-#include "db/exec/partitioned_table.h"
 #include "db/exec/plan.h"
 #include "db/exec/planner.h"
 #include "db/exec/vector_kernels.h"
 #include "db/executor.h"
-#include "serve/worker_pool.h"
 
 namespace {
 
@@ -248,32 +245,12 @@ int main(int argc, char** argv) {
       time_exec([&] { return dense_plan->Execute(); });
   const double vector_speedup = dense_seed_secs / dense_vec_secs;
 
-  // Partition-sharded execution of the same conjunction: serial morsels and
-  // pool-stolen morsels, answers asserted identical first.
-  const std::size_t partition_rows = std::max<std::size_t>(1, rows / 8);
-  auto pt = db::exec::PartitionedTable::Build(table, partition_rows).value();
-  db::exec::ParallelPlanner pplanner(pt);
-  auto pplan = pplanner.Compile(q).value();
-  serve::WorkerPool pool(4);
-  if (pplan->Execute(nullptr, 1).value().rows != seed_res.value().rows ||
-      pplan->Execute(&pool, 4).value().rows != seed_res.value().rows) {
-    mismatch = true;
-  }
-  double part_serial_secs =
-      time_exec([&] { return pplan->Execute(nullptr, 1); });
-  double part_pooled_secs =
-      time_exec([&] { return pplan->Execute(&pool, 4); });
-
   bench::PrintRule();
   const double per_iter = 1000.0 / static_cast<double>(iters * 4);
   std::printf("conjunction (make+color+price): seed %.3f ms, planned %.3f "
               "ms, speedup %.2fx, rows=%zu\n",
               seed_secs * per_iter, plan_secs * per_iter,
               seed_secs / plan_secs, seed_res.value().rows.size());
-  std::printf("partitioned conjunction (%zu shards): serial %.3f ms, "
-              "pooled(4) %.3f ms\n",
-              pt->num_partitions(), part_serial_secs * per_iter,
-              part_pooled_secs * per_iter);
   std::printf("dense conjunction (year+price+mileage): seed %.3f ms, "
               "vectorized %.3f ms, speedup %.2fx (floor %.1fx), rows=%zu\n",
               dense_seed_secs * per_iter, dense_vec_secs * per_iter,
@@ -282,11 +259,8 @@ int main(int argc, char** argv) {
   std::printf("plan:\n%s", plan->Explain().c_str());
   bench::PrintRule();
 
-  json.Add("partition_count", pt->num_partitions());
   json.Add("conjunction_seed_ms", seed_secs * per_iter);
   json.Add("conjunction_planned_ms", plan_secs * per_iter);
-  json.Add("conjunction_partitioned_serial_ms", part_serial_secs * per_iter);
-  json.Add("conjunction_partitioned_pooled_ms", part_pooled_secs * per_iter);
   json.Add("dense_conjunction_seed_ms", dense_seed_secs * per_iter);
   json.Add("dense_conjunction_vector_ms", dense_vec_secs * per_iter);
   json.Add("vector_conjunction_speedup", vector_speedup);

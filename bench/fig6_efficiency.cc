@@ -7,8 +7,8 @@
 // This bench also pins the serving path to the reference oracle
 // (reference/reference_ask.h: the paper's algorithm over the seed Type-rank
 // executor and string-keyed Eq. 5 scoring): the whole question stream is
-// answered by the oracle, by the engine, by the engine over partition-
-// sharded stores, and by an engine reloaded from a persistent snapshot.
+// answered by the oracle, by the engine, and by an engine reloaded from a
+// persistent snapshot.
 // Any canonical-answer mismatch with the oracle fails the run (non-zero
 // exit — the CI smoke step relies on it), and the ask times quantify the
 // serving path's speedup over the oracle.
@@ -75,17 +75,6 @@ int main(int argc, char** argv) {
   const double production_secs =
       ask_all(world->engine(), &production_answers);
 
-  // Partition-sharded stores (4 shards per 500-ad domain), serial morsels:
-  // the partitioned execution path must stay canonical-answer-identical to
-  // the oracle on the full ask stream.
-  core::EngineOptions partitioned_options;
-  partitioned_options.partition_rows = 128;
-  world->mutable_engine().SetOptions(partitioned_options);
-  std::vector<std::string> partitioned_answers;
-  const double partitioned_secs =
-      ask_all(world->engine(), &partitioned_answers);
-  world->mutable_engine().SetOptions(core::EngineOptions());
-
   // Persistent-snapshot parity: save the engine, boot a second engine from
   // the file (mmap + zero-copy adoption), and serve the whole stream from
   // it. Any byte difference is a serde bug.
@@ -110,12 +99,10 @@ int main(int argc, char** argv) {
   }
 
   std::size_t production_mismatches = 0;
-  std::size_t partitioned_mismatches = 0;
   std::size_t snapshot_mismatches = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const std::string& want = reference_answers[i];
     if (production_answers[i] != want) ++production_mismatches;
-    if (partitioned_answers[i] != want) ++partitioned_mismatches;
     if (snapshot_answers[i] != want) ++snapshot_mismatches;
   }
 
@@ -126,15 +113,12 @@ int main(int argc, char** argv) {
   std::printf("production              : %8.1f q/s   speedup %.2fx\n",
               stream.size() / production_secs,
               reference_secs / production_secs);
-  std::printf("partitioned (128/shard) : %8.1f q/s   speedup %.2fx\n",
-              stream.size() / partitioned_secs,
-              reference_secs / partitioned_secs);
   std::printf("reloaded snapshot       : %8.1f q/s   speedup %.2fx\n",
               stream.size() / snapshot_secs, reference_secs / snapshot_secs);
   std::printf(
       "canonical answer mismatches vs reference: production=%zu "
-      "partitioned=%zu snapshot=%zu\n",
-      production_mismatches, partitioned_mismatches, snapshot_mismatches);
+      "snapshot=%zu\n",
+      production_mismatches, snapshot_mismatches);
 
   // ---- the paper figure ----------------------------------------------
   auto result = eval::RunEfficiency(*world, questions, 661);
@@ -158,22 +142,19 @@ int main(int argc, char** argv) {
   json.Add("questions", stream.size());
   json.Add("reference_qps", stream.size() / reference_secs);
   json.Add("production_qps", stream.size() / production_secs);
-  json.Add("partitioned_qps", stream.size() / partitioned_secs);
   json.Add("snapshot_qps", stream.size() / snapshot_secs);
   json.Add("production_mismatches", production_mismatches);
-  json.Add("partitioned_mismatches", partitioned_mismatches);
   json.Add("snapshot_mismatches", snapshot_mismatches);
   for (const auto& [name, ms] : result.avg_ms) {
     json.Add("avg_ms_" + name, ms);
   }
   json.Write();
 
-  if (production_mismatches + partitioned_mismatches + snapshot_mismatches >
-      0) {
+  if (production_mismatches + snapshot_mismatches > 0) {
     std::printf(
         "FAIL: answers differ from the reference oracle (production=%zu, "
-        "partitioned=%zu, snapshot=%zu)\n",
-        production_mismatches, partitioned_mismatches, snapshot_mismatches);
+        "snapshot=%zu)\n",
+        production_mismatches, snapshot_mismatches);
     return 1;
   }
   return 0;

@@ -1,18 +1,17 @@
 // Rank-stage scaling: cold partial ranking over a >=100k-row domain, the
-// serving path's pruned morsel-parallel top-k rank against the reference
-// oracle (reference/reference_ask.h: one seed-executor query per N-1
+// serving path's pruned serial top-k rank against the reference oracle (reference/reference_ask.h: one seed-executor query per N-1
 // relaxation, string-keyed Eq. 5 scoring of every candidate, full sort).
 //
 // The table is generated clustered — rows grouped by (make, model), prices
 // ascending within a group — the shape real ad feeds have (listings arrive
 // batched by seller and segment), and the shape block-max pruning exploits:
 // a 1024-row block then covers a narrow slice of the score-relevant value
-// range, so once the shared top-k threshold rises, whole blocks bound below
-// it and are skipped unscored. Questions are numeric-target and N-1 shapes
+// range, so blocks are visited best bound first and, once the top-k
+// threshold rises, whole blocks bound below it and are skipped unscored. Questions are numeric-target and N-1 shapes
 // whose exact answer set is (near) empty, so every ask runs the §4.3.1
 // partial-ranking stage over the full table.
 //
-// Gates (CI): pruned-parallel speedup >= 3.4x over the reference, nonzero
+// Gates (CI): pruned serial speedup >= 3.4x over the reference, nonzero
 // skipped blocks, and byte-identical answers between the two. Non-zero exit
 // on any violation. Emits BENCH_rank_scale.json.
 //
@@ -30,7 +29,6 @@
 #include "db/table.h"
 #include "qlog/ti_matrix.h"
 #include "reference/reference_ask.h"
-#include "serve/worker_pool.h"
 
 namespace {
 
@@ -147,9 +145,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Single-condition numeric targets (full-table sweep) plus N-1 shapes
-  // with one heavy relaxation pass; every target is chosen to have ~zero
-  // exact matches so the rank stage runs cold over the whole domain.
+  // Single-condition numeric targets (every live row a candidate) plus
+  // N-1 shapes with one heavy relaxation pass; every target is chosen to
+  // have ~zero exact matches so the rank stage runs cold over the whole
+  // domain.
   const std::vector<std::string> candidates = {
       "3000 dollars",
       "9000 dollars",
@@ -207,12 +206,7 @@ int main(int argc, char** argv) {
       },
       &reference_answers, nullptr);
 
-  // Pruned, morsel-parallel top-k.
-  serve::WorkerPool pool(4);
-  core::EngineOptions topk_options;
-  topk_options.exec_runner = &pool;
-  topk_options.exec_parallelism = 4;
-  engine.SetOptions(topk_options);
+  // Pruned top-k, one thread: the serving path as the daemon runs it.
   std::vector<std::string> topk_answers;
   db::ExecStats topk_stats;
   const double topk_secs = ask_all(
@@ -232,7 +226,7 @@ int main(int argc, char** argv) {
               questions.size(), iters);
   std::printf("reference full-sort rank: %8.1f ms/ask\n",
               1000.0 * reference_secs / static_cast<double>(asks));
-  std::printf("pruned parallel top-k   : %8.1f ms/ask   speedup %.2fx\n",
+  std::printf("pruned serial top-k     : %8.1f ms/ask   speedup %.2fx\n",
               1000.0 * topk_secs / static_cast<double>(asks), speedup);
   std::printf("blocks visited=%zu skipped=%zu (%.1f%%)   rows pruned=%zu   "
               "threshold updates=%zu\n",

@@ -1,6 +1,5 @@
 // Serving throughput: questions/sec for sequential CqadsEngine::Ask vs the
-// ConcurrentServer worker pool, with and without the prepared-query cache,
-// and with partition-sharded stores (morsel-parallel plan execution).
+// ConcurrentServer worker pool, with and without the prepared-query cache.
 // The stream replays the survey questions several times with repeats —
 // heavy-traffic ad search is dominated by popular recurring questions, the
 // workload the prepared-query cache targets. Verifies byte-identical
@@ -21,7 +20,6 @@
 #include "eval/experiments.h"
 #include "reference/reference_ask.h"
 #include "serve/concurrent_server.h"
-#include "serve/worker_pool.h"
 
 namespace {
 
@@ -143,37 +141,14 @@ int main(int argc, char** argv) {
   bad += run_server(true, "pooled + cache");
   const double pooled_cache_qps = last_qps;
 
-  // Partition-sharded stores: 4 shards per domain (500 ads / 128), plan
-  // morsels stolen by the dedicated exec pool, with the prepared cache on.
-  // (Paper-scale stores sit below kMinRowsForParallelExec, so shard plans
-  // execute inline per query; the pool still covers inter-query fan-out.)
-  constexpr std::size_t kPartitionRows = 128;
-  serve::WorkerPool exec_pool(num_workers);
-  core::EngineOptions part_options;
-  part_options.partition_rows = kPartitionRows;
-  part_options.exec_parallelism = num_workers;
-  part_options.exec_runner = &exec_pool;
-  world->mutable_engine().SetOptions(part_options);
-  std::size_t partition_count = 0;
-  if (const auto* rt = engine.runtime(engine.Domains().front());
-      rt != nullptr && rt->partitions != nullptr) {
-    partition_count = rt->partitions->num_partitions();
-  }
-  bad += run_server(true, "partitioned + cache");
-  const double partitioned_qps = last_qps;
-  world->mutable_engine().SetOptions(core::EngineOptions());
-
   bench::PrintRule();
   bench::BenchJson json("serve_throughput");
   json.Add("workers", num_workers);
   json.Add("questions", stream.size());
-  json.Add("partition_rows", kPartitionRows);
-  json.Add("partitions_per_domain", partition_count);
   json.Add("reference_qps", QuestionsPerSec(stream.size(), reference_elapsed));
   json.Add("engine_qps", QuestionsPerSec(stream.size(), seq_elapsed));
   json.Add("pooled_qps", pooled_qps);
   json.Add("pooled_cache_qps", pooled_cache_qps);
-  json.Add("partitioned_cache_qps", partitioned_qps);
   json.Add("mismatches", bad);
   json.Write();
 
@@ -182,7 +157,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "all engine/pooled/cached/partitioned results byte-identical to the "
-      "reference oracle\n");
+      "all engine/pooled/cached results byte-identical to the reference "
+      "oracle\n");
   return 0;
 }

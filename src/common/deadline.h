@@ -1,30 +1,24 @@
-// Request budgets and cooperative cancellation. The serving north star is
-// an ad-tech-style 20-50 ms decision window where late answers are
-// discarded: a request that misses its deadline must release its worker in
-// bounded time instead of finishing a doomed scan. Three pieces:
+// Request budgets. The serving north star is an ad-tech-style 20-50 ms
+// decision window where late answers are discarded: a request that misses
+// its deadline must release its worker in bounded time instead of finishing
+// a doomed scan.
 //
-//   Deadline     a steady-clock expiry instant carried by the request
-//                (QueryContext, ConcurrentServer). Default-constructed it is
-//                infinite and costs nothing to check — the no-deadline hot
-//                path never reads the clock, which is how byte-identity with
-//                the pre-deadline engine is preserved.
-//   CancelToken  one shared atomic flag per request. The first checker that
-//                observes an expired deadline raises it; every other thread
-//                cooperating on the request (partition morsels on the
-//                work-stealing scheduler) sees the flag with one relaxed
-//                load instead of each paying a clock read.
-//   ExecControl  the (deadline, token) pair threaded through the execution
-//                layers (db/exec morsels, delta scans, pipeline stages).
-//                Null/default means "run to completion" everywhere.
+// A Deadline is a steady-clock expiry instant carried by the request
+// (QueryContext, ConcurrentServer) and checked by the execution layers
+// (db/exec delta scans, the rank stage). Default-constructed it is infinite
+// and costs nothing to check: the no-deadline hot path never reads the
+// clock, which is how byte-identity with the pre-deadline engine is
+// preserved. One thread serves a request from start to finish, so no other
+// thread needs to learn of the expiry.
 //
-// Checking discipline: long loops call ExecControl::Expired() at natural
-// batch boundaries (per partition morsel, per N-1 relaxation pass, per
-// stage) — often enough that a worker is reclaimed within one morsel's
-// work, rarely enough that the clock never shows up in profiles.
+// Checking discipline: long loops call expired() at natural batch
+// boundaries (per pipeline stage, per N-1 relaxation pass, per rank block
+// run, per few hundred delta rows) — often enough that a worker is
+// reclaimed within one batch's work, rarely enough that the clock never
+// shows up in profiles.
 #ifndef CQADS_COMMON_DEADLINE_H_
 #define CQADS_COMMON_DEADLINE_H_
 
-#include <atomic>
 #include <chrono>
 
 namespace cqads {
@@ -79,53 +73,6 @@ class Deadline {
 
   Clock::time_point when_{};
   bool infinite_ = true;
-};
-
-/// A shared request-scoped cancellation flag. Raised once (by whichever
-/// thread first observes the expired deadline, or explicitly by the owner);
-/// checked with one relaxed atomic load by everyone else. Never reset —
-/// a token lives exactly as long as its request.
-class CancelToken {
- public:
-  CancelToken() = default;
-  CancelToken(const CancelToken&) = delete;
-  CancelToken& operator=(const CancelToken&) = delete;
-
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
-/// The cancellation context threaded through execution: a deadline plus an
-/// optional shared token. Value type (two words); default-constructed it
-/// never stops anything. The exec layers receive `const ExecControl*` with
-/// nullptr meaning the same thing, so pre-deadline call sites stay valid.
-struct ExecControl {
-  Deadline deadline;
-  CancelToken* cancel = nullptr;
-
-  /// The per-batch-boundary check: true when this request should stop.
-  /// Reads the token first (one relaxed load — the common case once a
-  /// sibling noticed expiry) and the clock only when the token is silent;
-  /// on expiry it raises the token so sibling morsels stop without their
-  /// own clock read.
-  bool Expired() const {
-    if (cancel != nullptr && cancel->cancelled()) return true;
-    if (deadline.expired()) {
-      if (cancel != nullptr) cancel->Cancel();
-      return true;
-    }
-    return false;
-  }
-
-  /// Convenience for `const ExecControl*` call sites.
-  static bool Expired(const ExecControl* control) {
-    return control != nullptr && control->Expired();
-  }
 };
 
 }  // namespace cqads

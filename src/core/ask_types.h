@@ -18,14 +18,10 @@
 #include "db/query.h"
 
 // ParsedQuestion only carries shared_ptrs to compiled plans; the plan
-// vocabulary (db/exec/plan.h, db/exec/parallel_plan.h) stays out of this
-// widely-included header.
+// vocabulary (db/exec/plan.h) stays out of this widely-included header.
 namespace cqads::db::exec {
 class PhysicalPlan;
 using PlanPtr = std::shared_ptr<const PhysicalPlan>;
-class PartitionedPlan;
-using PartitionedPlanPtr = std::shared_ptr<const PartitionedPlan>;
-class TaskRunner;
 }  // namespace cqads::db::exec
 
 namespace cqads::core {
@@ -45,19 +41,6 @@ struct EngineOptions {
   /// Record the plan dump (PhysicalPlan::Explain) in AskResult::explain.
   /// Off by default: the hot path should not build strings nobody reads.
   bool explain_plans = false;
-  /// Horizontal partitioning: rows per ColumnStore partition. Each domain's
-  /// store is sharded into fixed-size row partitions (own dictionaries,
-  /// postings, null bitmaps, per-partition stats) and compiled plans run
-  /// per-partition, merged answer-identically. 0 = one monolithic store
-  /// (the seed layout).
-  std::size_t partition_rows = 0;
-  /// Threads one query's plan may fan partition morsels across (the calling
-  /// thread included). <= 1 = serial partition execution.
-  std::size_t exec_parallelism = 1;
-  /// Where partition morsels run (e.g. a serve::WorkerPool). Non-owning:
-  /// must outlive the engine. nullptr = morsels run inline on the caller,
-  /// which is also the graceful degradation when the pool is saturated.
-  db::exec::TaskRunner* exec_runner = nullptr;
 };
 
 /// Full analysis of a question within a known domain: everything the
@@ -71,24 +54,18 @@ struct ParsedQuestion {
   AssembledQuery assembled;
   db::Query query;      ///< executable form
   std::string sql;      ///< §4.5 nested-subquery SQL text
-  /// Compiled cost-aware plan for `query` (null on a partitioned store and
-  /// for a contradiction, which never executes).
-  /// Compiled against one snapshot's table/stats; riding on ParsedQuestion
-  /// is what lets the prepared-query cache memoize plans per snapshot
-  /// version for free.
+  /// Compiled cost-aware plan for `query` (null for a contradiction, which
+  /// never executes). Compiled against one snapshot's table/stats; riding
+  /// on ParsedQuestion is what lets the prepared-query cache memoize plans
+  /// per snapshot version for free.
   db::exec::PlanPtr plan;
-  /// Partition-parallel form of `plan`, compiled instead of it when the
-  /// domain's store is partitioned (EngineOptions::partition_rows > 0).
-  /// Null otherwise.
-  db::exec::PartitionedPlanPtr part_plan;
   /// The §4.3.1 N-1 relaxation's building blocks, compiled when the
   /// question is relaxable (>= 2 units, no superlative) so cache hits
   /// replay partial retrieval without compiling: entry i selects the rows
   /// of `assembled.units[i]` alone, `fixed_plan` those of the AND of
   /// `assembled.fixed` (null when there are no fixed fragments). Relaxation
   /// d is then (fixed) AND (every unit but d), combined as bitmaps at rank
-  /// time. Always monolithic plans, also on partitioned stores. Empty/null
-  /// otherwise.
+  /// time. Empty/null otherwise.
   std::vector<db::exec::PlanPtr> unit_plans;
   db::exec::PlanPtr fixed_plan;
 };

@@ -38,7 +38,7 @@ Status CqadsEngine::RetireAd(const std::string& domain, db::RowId row) {
 }
 
 Status CqadsEngine::CompactDomain(const std::string& domain) {
-  // The merge + index/lexicon/partition rebuild runs under mu_ — writers
+  // The merge + index/lexicon rebuild runs under mu_ — writers
   // (ingest, retrain, other compactions) serialize, exactly like AddDomain.
   // READERS never block: they run on the snapshot they pinned, and the new
   // generation becomes visible only at the final atomic swap.

@@ -61,7 +61,7 @@ class CqadsEngine {
   Status AddDomain(const db::Table* table, qlog::TiMatrix ti_matrix);
 
   /// Incremental ingestion: appends an ad to the domain's delta store and
-  /// publishes a new snapshot — no index, lexicon, or partition rebuild.
+  /// publishes a new snapshot — no index or lexicon rebuild.
   /// Queries transparently union the delta (tombstones masked) until
   /// CompactDomain folds it into a fresh base table. Returns the ad's
   /// global RowId (stable until the next compaction).
@@ -71,7 +71,7 @@ class CqadsEngine {
   /// row stops matching queries immediately.
   Status RetireAd(const std::string& domain, db::RowId row);
 
-  /// Merges the domain's delta into a fresh (re-partitioned) base table and
+  /// Merges the domain's delta into a fresh (re-indexed) base table and
   /// publishes a new version-stamped snapshot. Heavy, but safe to run from
   /// a background thread: in-flight queries keep the snapshot they pinned
   /// and are never blocked — only other writers serialize. Post-compaction
@@ -141,8 +141,8 @@ class CqadsEngine {
 
   /// Runtime lookup for tests and benches; nullptr when unregistered.
   /// LIFETIME: the pointer is valid only until the next engine mutation —
-  /// IngestAd, RetireAd, CompactDomain, SetOptions, and retraining all
-  /// publish a REPLACEMENT runtime generation, after which the old one dies
+  /// IngestAd, RetireAd, and CompactDomain publish a REPLACEMENT runtime
+  /// generation, after which the old one dies
   /// with its last snapshot. Callers that must hold domain state across
   /// mutations should pin snapshot() and read runtime() off it instead.
   const DomainRuntime* runtime(const std::string& domain) const;

@@ -62,14 +62,6 @@ Result<std::shared_ptr<DomainRuntime>> EngineBuilder::MakeRuntime(
   rt->tagger = std::make_shared<const QuestionTagger>(rt->lexicon.get());
   rt->stats = table->stats_ptr();
   rt->planner = std::make_shared<const db::exec::Planner>(table);
-  if (options_.partition_rows > 0) {
-    auto parts = db::exec::PartitionedTable::Build(*table,
-                                                   options_.partition_rows);
-    if (!parts.ok()) return parts.status();
-    rt->partitions = std::move(parts).value();
-    rt->parallel_planner =
-        std::make_shared<const db::exec::ParallelPlanner>(rt->partitions);
-  }
   rt->ti_matrix = std::move(ti);
   rt->attr_ranges = ComputeAttrRanges(*table);
   rt->rank_bounds = db::exec::RankBounds::Build(*table);
@@ -181,32 +173,6 @@ Status EngineBuilder::CompactDomain(const std::string& domain) {
   rt_it->second = std::move(rt).value();
   pending_deltas_.erase(domain);
   return Status::OK();
-}
-
-void EngineBuilder::set_options(const EngineOptions& options) {
-  const bool reshard = options.partition_rows != options_.partition_rows;
-  options_ = options;
-  if (!reshard) return;
-  // Re-shard every registered domain around the new partition size, sharing
-  // everything else of the current generation. A shard-build failure (only
-  // possible when a caller-owned table was mutated without re-indexing)
-  // degrades THAT domain to the always-correct monolithic layout — never a
-  // stale differently-sized sharding.
-  for (auto& [domain, slot] : runtimes_) {
-    auto rt = std::make_shared<DomainRuntime>(*slot);
-    rt->partitions = nullptr;
-    rt->parallel_planner = nullptr;
-    if (options_.partition_rows > 0) {
-      auto parts = db::exec::PartitionedTable::Build(*rt->table,
-                                                     options_.partition_rows);
-      if (parts.ok()) {
-        rt->partitions = std::move(parts).value();
-        rt->parallel_planner =
-            std::make_shared<const db::exec::ParallelPlanner>(rt->partitions);
-      }
-    }
-    slot = std::move(rt);
-  }
 }
 
 std::vector<classify::LabelledDoc> EngineBuilder::MakeTrainingDocs() const {

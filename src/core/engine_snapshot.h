@@ -2,7 +2,7 @@
 // path so queries can fan out across cores without locks.
 //
 // An EngineSnapshot freezes everything a question needs to be answered:
-// per-domain lexicons/tries, taggers, planners and partitioned stores, the
+// per-domain lexicons/tries, taggers, planners and column stores, the
 // domain's frozen ingest delta, TI-matrices, and Eq. 4 attribute ranges
 // (DomainRuntime), plus the trained §3 classifier and the shared WS
 // word-correlation matrix. Snapshots are built by an
@@ -14,8 +14,8 @@
 //
 // Every DomainRuntime component is held by shared_ptr so a runtime
 // GENERATION is cheap: ingesting one ad publishes a new DomainRuntime that
-// shares the lexicon, tagger, planner, stats, and partitions of the old one
-// and differs only in the frozen delta. Compaction is the expensive
+// shares the lexicon, tagger, planner, stats, and rank bounds of the old
+// one and differs only in the frozen delta. Compaction is the expensive
 // generation: it rebuilds everything from the merged table.
 //
 // Thread-safety: every const method of EngineSnapshot and DomainRuntime is
@@ -37,8 +37,6 @@
 #include "core/domain_lexicon.h"
 #include "core/question_tagger.h"
 #include "core/rank_sim.h"
-#include "db/exec/parallel_plan.h"
-#include "db/exec/partitioned_table.h"
 #include "db/exec/planner.h"
 #include "db/exec/rank_bounds.h"
 #include "db/exec/table_stats.h"
@@ -79,12 +77,8 @@ struct DomainRuntime {
   /// Column statistics frozen at registration: the planner below estimates
   /// against exactly these even if the table were re-indexed later.
   std::shared_ptr<const db::exec::TableStats> stats;
-  /// Cost-aware plan compiler over the domain's monolithic column store.
+  /// Cost-aware plan compiler over the domain's column store.
   std::shared_ptr<const db::exec::Planner> planner;
-  /// Fixed-size row partitions of the store (EngineOptions::partition_rows
-  /// > 0 only) and the per-partition plan compiler. Null when monolithic.
-  std::shared_ptr<const db::exec::PartitionedTable> partitions;
-  std::shared_ptr<const db::exec::ParallelPlanner> parallel_planner;
   /// Frozen ingest delta riding on `table`: rows inserted/retired since the
   /// last compaction. Null or empty() when the domain has no pending delta;
   /// queries then skip the hybrid union path entirely.
@@ -162,14 +156,14 @@ class EngineBuilder {
   explicit EngineBuilder(EngineOptions options) : options_(options) {}
 
   /// Registers a domain: the ads table (indexes built) and its query-log-
-  /// derived TI-matrix. Builds the trie lexicon, tagger, planner,
-  /// partitions (when partition_rows > 0), and attribute ranges.
+  /// derived TI-matrix. Builds the trie lexicon, tagger, planner, rank
+  /// bounds, and attribute ranges.
   /// Invalidates classifier training (corpus changed).
   Status AddDomain(const db::Table* table, qlog::TiMatrix ti_matrix);
 
   /// Incremental ingestion: appends the record to the domain's delta store
-  /// and republishes the runtime generation — no index, lexicon, or
-  /// partition rebuild. Returns the ad's global RowId (stable until the
+  /// and republishes the runtime generation — no index or lexicon
+  /// rebuild. Returns the ad's global RowId (stable until the
   /// next compaction). Note: the delta rides on the registration-time
   /// lexicon, so genuinely NEW vocabulary in the record becomes taggable
   /// only after CompactDomain.
@@ -182,7 +176,7 @@ class EngineBuilder {
 
   /// Merges the domain's delta into a fresh base table (surviving base rows
   /// in RowId order, then surviving delta rows in insertion order), rebuilds
-  /// indexes, stats, lexicon, tagger, planner, and partitions from it, and
+  /// indexes, stats, lexicon, tagger, planner, and rank bounds from it, and
   /// clears the delta. After this, answers are byte-identical to an engine
   /// rebuilt from scratch on the merged rows — the ingest differential
   /// tests pin exactly that. No-op (OK) when the domain has no delta.
@@ -243,11 +237,9 @@ class EngineBuilder {
 
   const EngineOptions& options() const { return options_; }
 
-  /// Replaces the engine-wide knobs (answer caps, explain recording,
-  /// partitioning, morsel parallelism); takes effect in the next Build().
-  /// Changing partition_rows re-shards every registered domain's store
-  /// (sharing all other runtime components).
-  void set_options(const EngineOptions& options);
+  /// Replaces the engine-wide knobs (answer caps, partial retrieval,
+  /// explain recording); takes effect in the next Build().
+  void set_options(const EngineOptions& options) { options_ = options; }
 
   bool HasDomain(const std::string& domain) const {
     return runtimes_.count(domain) > 0;

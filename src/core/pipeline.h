@@ -71,18 +71,10 @@ struct QueryContext {
 
   /// The request's budget. Default-infinite: the no-deadline path never
   /// reads the clock and behaves byte-identically to the pre-deadline
-  /// engine. The pipeline checks it at stage boundaries; the execution
-  /// layers at morsel/chunk boundaries through control().
+  /// engine. The pipeline checks it at stage boundaries, the execute stage
+  /// per delta-scan chunk, the rank stage per relaxation pass and block
+  /// run.
   Deadline deadline;
-
-  /// Request-scoped cancellation flag shared by every thread cooperating
-  /// on this request (partition morsel helpers). Raised by the first
-  /// deadline observer; never reset.
-  CancelToken cancel;
-
-  /// The (deadline, token) pair the execution layers thread through
-  /// db/exec. Valid while this context is alive.
-  ExecControl control() { return ExecControl{deadline, &cancel}; }
 
   /// Per-request deterministic RNG (seeded from the question text), so any
   /// stochastic stage draws from request-local state instead of a shared
@@ -175,10 +167,9 @@ class RenderSqlStage : public PipelineStage {
 };
 
 /// Compiles the executable query into a cost-aware physical plan
-/// (db/exec/planner.h) over the domain's column store, partition-parallel
-/// on a sharded store. For a relaxable question it also compiles the N-1
-/// relaxation's fragments: one monolithic plan per match unit and one for
-/// the fixed fragments, which RankStage combines. Part of the parse-side
+/// (db/exec/planner.h) over the domain's column store. For a relaxable
+/// question it also compiles the N-1 relaxation's fragments: one plan per
+/// match unit and one for the fixed fragments, which RankStage combines. Part of the parse-side
 /// pipeline, so the prepared-query cache memoizes compiled plans per
 /// snapshot version along with the rest of the ParsedQuestion.
 class PlanStage : public PipelineStage {
@@ -198,12 +189,14 @@ class ExecuteStage : public PipelineStage {
 /// §4.3.1-4.3.2: N-1 partial retrieval ranked by Rank_Sim, capped at 30.
 /// It evaluates each unit and the fixed fragments once, as row bitmaps,
 /// builds relaxation d as the AND of the fixed fragments and every unit
-/// but d, word by word, and selects the top k with block-max pruning (the
-/// reference oracle runs each relaxation as its own query and sorts every
-/// candidate). Degradable: under deadline pressure it stops after the
-/// best-so-far relaxation pass (the partials collected so far are still
-/// ranked and appended) and marks the result degraded rather than
-/// returning nothing.
+/// but d, word by word, and selects the top k in one serial loop that
+/// visits each pass's blocks best bound first and skips those that bound
+/// below the k-th score (the reference oracle runs each relaxation as its
+/// own query and sorts every candidate). A single-condition question is
+/// one pass over every live row. Degradable: under deadline pressure it
+/// stops after the best-so-far block run (the partials collected so far
+/// are still ranked and appended) and marks the result degraded rather
+/// than returning nothing.
 class RankStage : public PipelineStage {
  public:
   const char* name() const override { return "rank"; }

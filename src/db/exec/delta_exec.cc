@@ -22,12 +22,7 @@ Result<QueryResult> ExecuteHybrid(const Table& base, const DeltaStore& delta,
   // 1. Base rows through the given plan (the seed executor without one),
   //    uncapped and unsorted (plain ascending RowIds).
   RowSet rows;
-  if (source.part_plan != nullptr) {
-    auto r = source.part_plan->ExecuteRowSet(source.runner, source.parallelism,
-                                             &result.stats, source.control);
-    if (!r.ok()) return r.status();
-    rows = std::move(r).value();
-  } else if (source.plan != nullptr) {
+  if (source.plan != nullptr) {
     auto r = source.plan->ExecuteRowSet(&result.stats);
     if (!r.ok()) return r.status();
     rows = std::move(r).value();
@@ -55,7 +50,7 @@ Result<QueryResult> ExecuteHybrid(const Table& base, const DeltaStore& delta,
   const Schema& schema = base.schema();
   std::size_t scanned = 0;
   for (std::size_t i = 0; i < delta.num_rows(); ++i) {
-    if (i % kCancelCheckRows == 0 && ExecControl::Expired(source.control)) {
+    if (i % kCancelCheckRows == 0 && source.deadline.expired()) {
       return Status::DeadlineExceeded("delta scan cancelled");
     }
     if (delta.delta_retired(i)) continue;

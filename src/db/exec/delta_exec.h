@@ -1,7 +1,7 @@
 // Delta-union query execution: one query answered over a base table (via
-// the compiled plan the serving path hands in — partitioned or monolithic —
-// or, with no plan, the seed Type-rank executor the reference oracle uses)
-// PLUS a row-major DeltaStore riding on it.
+// the compiled plan the serving path hands in or, with no plan, the seed
+// Type-rank executor the reference oracle uses) PLUS a row-major DeltaStore
+// riding on it.
 //
 //   base rows   index/plan-driven, then tombstoned base rows masked out
 //   delta rows  row-at-a-time scan with the seed value semantics
@@ -19,9 +19,8 @@
 
 #include <cstddef>
 
+#include "common/deadline.h"
 #include "common/status.h"
-#include "db/exec/morsel.h"
-#include "db/exec/parallel_plan.h"
 #include "db/exec/plan.h"
 #include "db/executor.h"
 #include "db/storage/delta_store.h"
@@ -30,16 +29,11 @@
 namespace cqads::db::exec {
 
 /// How the base table's raw (uncapped, pre-superlative) row set is
-/// produced. Preference order: part_plan, then plan, then the seed
-/// executor. The runner/parallelism only matter for part_plan.
+/// produced: through `plan` when set, the seed executor otherwise.
 struct BaseRowSource {
-  const PartitionedPlan* part_plan = nullptr;
   const PhysicalPlan* plan = nullptr;
-  TaskRunner* runner = nullptr;
-  std::size_t parallelism = 1;
-  /// Cooperative cancellation (common/deadline.h): checked per partition
-  /// morsel and per delta-scan chunk. Null = run to completion.
-  const ExecControl* control = nullptr;
+  /// Checked per delta-scan chunk; the default never expires.
+  Deadline deadline;
 };
 
 /// Cell of a global row id: a base-table cell or a delta record's value.

@@ -219,10 +219,9 @@ class PhysicalPlan {
   Result<QueryResult> Execute() const;
 
   /// The constraint tree's raw row set — sorted, duplicate-free, BEFORE the
-  /// superlative sort and the answer cap. The partition-parallel executor
-  /// merges these across shards, and the delta-union path combines one with
-  /// the delta scan, before applying the final §4.3 step-4 semantics
-  /// globally (applying a per-shard cap first would drop rows the global
+  /// superlative sort and the answer cap. The delta-union path combines it
+  /// with the delta scan before applying the final §4.3 step-4 semantics
+  /// globally (capping the base rows first would drop rows the global
   /// superlative should have kept).
   Result<RowSet> ExecuteRowSet(ExecStats* stats) const;
 

@@ -19,13 +19,13 @@
 namespace cqads::db::exec {
 
 /// §4.3 step 4, the SINGLE definition shared by every execution path (seed
-/// executor, monolithic plan, partitioned plan, delta union): stable sort
+/// executor, compiled plan, delta union): stable sort
 /// of an ascending row set by the superlative attribute's cell value —
 /// ties keep row order — then the answer cap. `cell_at(row, attr)` returns
 /// the row's cell as `const Value&`; the caller binds whatever storage the
 /// row ids live in (table, base∪delta, …). Centralizing this is what makes
 /// the answer-identity invariant a property of ONE block of code instead
-/// of four copies that must never drift.
+/// of three copies that must never drift.
 template <typename CellAt>
 void ApplySuperlativeAndCap(RowSet* rows,
                             const std::optional<Superlative>& superlative,

@@ -30,12 +30,15 @@ Histogram Histogram::Build(const double* values, std::size_t count,
   hist.hi = hi;
   hist.total = n;
   hist.counts.assign(std::max<std::size_t>(1, buckets), 0);
+  // An infinite value (or a finite range overflowing a double) makes the
+  // width infinite; the bucket index would then be inf or NaN, so every
+  // value lands in bucket 0 as for a single-valued column.
   const double width = hi - lo;
   for (std::size_t i = 0; i < count; ++i) {
     const double v = values[i];
     if (std::isnan(v)) continue;
     std::size_t b = 0;
-    if (width > 0.0) {
+    if (width > 0.0 && std::isfinite(width)) {
       b = static_cast<std::size_t>((v - lo) / width *
                                    static_cast<double>(hist.counts.size()));
       b = std::min(b, hist.counts.size() - 1);

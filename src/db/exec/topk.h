@@ -15,14 +15,11 @@
 // bound == threshold must be visited. WouldAccept encodes the full
 // (score, row) rule for per-candidate checks.
 //
-// Determinism under parallel merge: each worker keeps its own TopK over the
-// subset of candidates it scored. Any member of the global top-k is, within
-// its worker's subset, competing against fewer candidates — so it survives
-// into that worker's local top-k. The union of local top-ks therefore
-// contains the global top-k, and sorting the union with the same total
-// order reproduces it independent of morsel schedule.
+// Push order never matters: the kept entries depend only on the multiset
+// of candidates pushed, which is what lets the rank stage visit blocks in
+// best-bound order and still match the reference's row-order full sort.
 //
-// Not thread-safe; one instance per worker, merged by the caller.
+// Not thread-safe; one instance per request.
 #ifndef CQADS_DB_EXEC_TOPK_H_
 #define CQADS_DB_EXEC_TOPK_H_
 
@@ -37,7 +34,7 @@ namespace cqads::db::exec {
 
 /// One kept candidate. `tag` is caller payload (the rank stage stores the
 /// dropped-unit index so the Table 2 measure label can be rebuilt after the
-/// merge without re-scoring).
+/// selection without re-scoring).
 struct TopKEntry {
   double score = 0.0;
   RowId row = 0;
@@ -78,8 +75,8 @@ class TopK {
   }
 
   /// Inserts if the candidate belongs in the current top k. Returns true
-  /// when the k-th threshold tightened (heap filled or worst evicted) —
-  /// the caller's cue to publish a new shared pruning threshold.
+  /// when the heap filled or its worst entry was evicted — the caller's cue
+  /// that threshold() may have risen.
   bool Push(double score, RowId row, std::uint32_t tag) {
     if (!WouldAccept(score, row)) return false;
     if (full()) {
@@ -97,13 +94,6 @@ class TopK {
   std::vector<TopKEntry> Take() {
     std::sort(heap_.begin(), heap_.end(), TopKBetter);
     return std::move(heap_);
-  }
-
-  /// Folds another accumulator's entries into this one (deterministic:
-  /// the result depends only on the multiset of pushed entries).
-  void Merge(TopK&& other) {
-    for (const TopKEntry& e : other.heap_) Push(e.score, e.row, e.tag);
-    other.heap_.clear();
   }
 
  private:

@@ -4,8 +4,7 @@
 // the base table's (index-driven) result with a row-at-a-time scan of the
 // live delta rows (db/row_match.h — the seed executor's value semantics),
 // masking tombstoned base rows; a background compaction later merges the
-// survivors into a fresh partitioned table and the delta starts empty
-// again.
+// survivors into a fresh indexed table and the delta starts empty again.
 //
 // Global row ids: base-table rows keep their RowIds; delta row i is
 // addressed as base_rows + i. Retired delta rows keep their slot (the ids

@@ -10,9 +10,10 @@
 //           --> prepared-query cache probe (domain, normalized question)
 //                 hit:  skip tag/conditions/assembly/SQL, go to execution
 //                 miss: run the parse stages, then memoize
-//           --> execute + Rank_Sim rank on the snapshot, cooperatively
-//               cancelled at stage/morsel boundaries when the deadline
-//               passes (common/deadline.h)
+//           --> execute + Rank_Sim rank on the snapshot, one worker per
+//               request, cooperatively cancelled at stage, relaxation-pass
+//               and block boundaries when the deadline passes
+//               (common/deadline.h)
 //
 // AskBatch fans a batch out across the pool; results keep the input order
 // and are byte-identical (CanonicalAskResultString) to what sequential

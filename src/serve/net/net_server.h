@@ -19,8 +19,9 @@
 //
 // Deadline propagation: a request's budget_ms becomes a Deadline
 // (BudgetToDeadline, protocol.h) at dispatch time, flowing into the same
-// Deadline/CancelToken machinery the in-process path uses (expired-in-queue
-// drop, cooperative morsel cancellation, graceful rank degradation).
+// Deadline checks the in-process path uses (expired-in-queue drop,
+// cooperative cancellation at stage and block boundaries, graceful rank
+// degradation).
 // Admission control is the ConcurrentServer's: past max_queue,
 // AskAsyncInDomain sheds with kOverloaded in O(1) and the client gets
 // status "overloaded" — overload degrades by shedding, never by unbounded

@@ -18,7 +18,7 @@
 //   {"id":9,"method":"statsz"}          server + cache + queue telemetry
 //   {"id":0,"method":"ping"}            liveness / receiver unblocking
 // budget_ms > 0 sets the request deadline (arrival + budget, propagated
-// into the engine's Deadline/CancelToken machinery); 0/absent = no
+// into the engine's Deadline checks); 0/absent = no
 // deadline; < 0 = an already-expired deadline (deterministic test hook for
 // the expired-in-queue path); budget_ms >= kMaxBudgetMs (about 146 years)
 // = no deadline. An id outside [0, kMaxWireId = 2^53] is invalid_argument.

@@ -1,11 +1,8 @@
 // A fixed-size worker pool with a FIFO task queue. Deliberately minimal:
-// the ConcurrentServer fans AskBatch out over it, tests drive it directly,
-// and — as a db::exec::TaskRunner — the partition-parallel plan executor
-// submits morsel helpers to it (safe to share with the serving fan-out: the
-// morsel scheduler's caller participates, so queued-behind-queries helpers
-// can never deadlock a batch; see db/exec/morsel.h). Tasks must not throw
-// (library code is exception-free across module boundaries; see
-// common/status.h).
+// the ConcurrentServer (and the NetServer wrapping it) runs each request as
+// one task on it, and tests drive it directly. A request never fans out
+// across workers. Tasks must not throw (library code is exception-free
+// across module boundaries; see common/status.h).
 #ifndef CQADS_SERVE_WORKER_POOL_H_
 #define CQADS_SERVE_WORKER_POOL_H_
 
@@ -17,11 +14,9 @@
 #include <thread>
 #include <vector>
 
-#include "db/exec/morsel.h"
-
 namespace cqads::serve {
 
-class WorkerPool : public db::exec::TaskRunner {
+class WorkerPool {
  public:
   /// Spawns `num_threads` workers (at least one).
   explicit WorkerPool(std::size_t num_threads);
@@ -32,13 +27,13 @@ class WorkerPool : public db::exec::TaskRunner {
   /// completion callback always fires); owners that instead want teardown
   /// without running the backlog call CancelPending() first. Pinned by
   /// DestructorRunsQueuedTasks / CancelPendingSkipsUnstartedTasks.
-  ~WorkerPool() override;
+  ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Enqueues a task. Safe from any thread, including from inside a task.
-  void Submit(std::function<void()> task) override;
+  void Submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has finished.
   void Wait();

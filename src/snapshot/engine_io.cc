@@ -1,10 +1,10 @@
 // Engine-level snapshot container: SaveEngine lays the builder's complete
 // built state out as named sections ("meta", "ws", "classifier", "dom<i>"),
 // LoadEngine mmaps the file and wires DomainRuntimes around the restored
-// structures. Cheap derived objects (tagger, planner, parallel planner)
-// are reconstructed at load — they are a handful of pointers each —
-// while every heavy structure (tries, CSR matrices, column arrays, index
-// postings, stats) comes out of the file.
+// structures. Cheap derived objects (tagger, planner) are reconstructed at
+// load — they are a handful of pointers each — while every heavy structure
+// (tries, CSR matrices, column arrays, index postings, stats) comes out of
+// the file.
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "core/engine_snapshot.h"
-#include "db/exec/parallel_plan.h"
-#include "db/exec/partitioned_table.h"
 #include "db/exec/planner.h"
 #include "snapshot/serde.h"
 #include "snapshot/snapshot_file.h"
@@ -74,15 +72,6 @@ Status SerdeAccess::SaveEngine(const core::EngineBuilder& b,
       w.WriteBool(false);
     }
     w.WritePacked(rt->attr_ranges.data(), rt->attr_ranges.size());
-    const bool has_parts = rt->partitions != nullptr;
-    w.WriteBool(has_parts);
-    if (has_parts) {
-      const auto& pt = *rt->partitions;
-      w.WriteU64(pt.rows_per_partition_);
-      w.WritePacked(pt.bases_.data(), pt.bases_.size());
-      w.WriteU64(pt.parts_.size());
-      for (const auto& part : pt.parts_) WriteTable(*part, &w);
-    }
     writer.AddSection(DomainSectionName(i++), std::move(w));
   }
 
@@ -178,33 +167,6 @@ Result<core::EngineBuilder> SerdeAccess::LoadEngine(const std::string& path) {
         rt->lexicon.get());
     rt->stats = table->stats_ptr();
     rt->planner = std::make_shared<const db::exec::Planner>(rt->table);
-
-    bool has_parts = false;
-    CQADS_RETURN_NOT_OK(dr.ReadBool(&has_parts));
-    if (has_parts) {
-      std::shared_ptr<db::exec::PartitionedTable> pt(
-          new db::exec::PartitionedTable());
-      pt->base_ = rt->table;
-      std::uint64_t rpp = 0;
-      CQADS_RETURN_NOT_OK(dr.ReadU64(&rpp));
-      pt->rows_per_partition_ = static_cast<std::size_t>(rpp);
-      CQADS_RETURN_NOT_OK(dr.ReadPacked(&pt->bases_));
-      std::uint64_t n_parts = 0;
-      CQADS_RETURN_NOT_OK(dr.ReadCount(&n_parts, 8));
-      if (n_parts != pt->bases_.size()) {
-        return dr.Corrupt("partition base array size mismatch");
-      }
-      pt->parts_.reserve(static_cast<std::size_t>(n_parts));
-      for (std::uint64_t p = 0; p < n_parts; ++p) {
-        std::unique_ptr<db::Table> part;
-        CQADS_RETURN_NOT_OK(ReadTable(&dr, owner, &part));
-        pt->parts_.push_back(std::move(part));
-      }
-      rt->partitions = pt;
-      rt->parallel_planner =
-          std::make_shared<const db::exec::ParallelPlanner>(rt->partitions);
-    }
-
     rt->ti_matrix = std::move(ti);
     rt->attr_ranges = std::move(attr_ranges);
     rt->rank_bounds = db::exec::RankBounds::Build(*rt->table);

@@ -976,9 +976,6 @@ void SerdeAccess::WriteOptions(const core::EngineOptions& o, ByteWriter* w) {
   w->WriteU64(o.partial_trigger);
   w->WriteBool(o.enable_partial);
   w->WriteBool(o.explain_plans);
-  w->WriteU64(o.partition_rows);
-  w->WriteU64(o.exec_parallelism);
-  // exec_runner is a process-local pointer; it does not persist.
 }
 
 Status SerdeAccess::ReadOptions(ByteReader* r, core::EngineOptions* out) {
@@ -989,11 +986,6 @@ Status SerdeAccess::ReadOptions(ByteReader* r, core::EngineOptions* out) {
   out->partial_trigger = static_cast<std::size_t>(v);
   CQADS_RETURN_NOT_OK(r->ReadBool(&out->enable_partial));
   CQADS_RETURN_NOT_OK(r->ReadBool(&out->explain_plans));
-  CQADS_RETURN_NOT_OK(r->ReadU64(&v));
-  out->partition_rows = static_cast<std::size_t>(v);
-  CQADS_RETURN_NOT_OK(r->ReadU64(&v));
-  out->exec_parallelism = static_cast<std::size_t>(v);
-  out->exec_runner = nullptr;
   return Status::OK();
 }
 

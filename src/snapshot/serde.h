@@ -28,7 +28,6 @@
 #include "core/domain_lexicon.h"
 #include "core/engine_snapshot.h"
 #include "core/tags.h"
-#include "db/exec/partitioned_table.h"
 #include "db/exec/table_stats.h"
 #include "db/indexes.h"
 #include "db/schema.h"
@@ -100,8 +99,6 @@ struct SerdeAccess {
                               ByteWriter* w);
   static Status ReadClassifier(ByteReader* r,
                                classify::QuestionClassifier* out);
-  /// All fields except exec_runner, which is a process-local pointer and is
-  /// restored as nullptr (callers re-attach a pool after load).
   static void WriteOptions(const core::EngineOptions& o, ByteWriter* w);
   static Status ReadOptions(ByteReader* r, core::EngineOptions* out);
 

@@ -45,7 +45,7 @@ namespace cqads::snapshot {
 inline constexpr std::uint64_t kMagic = 0x50414E5344415143ULL;
 /// Written as 0x01020304; reads back as 0x04030201 under byte-swap.
 inline constexpr std::uint32_t kEndianMark = 0x01020304u;
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Fixed-size file header. Trivially copyable; explicit padding so every
 /// written byte is deterministic.

@@ -1,8 +1,9 @@
-// Unit tests for the robustness substrate: Deadline/CancelToken/ExecControl
-// semantics, the failpoint registry (arming, skip/every/limit schedules, the
-// env spec parser, disarmed-cost invariants), and the WorkerPool shutdown
-// contract the async serving path relies on (destruction DRAINS: queued
-// unstarted tasks run; CancelPending is the explicit way to drop them).
+// Unit tests for the robustness substrate: Deadline semantics and the
+// delta scan's deadline check, the failpoint registry (arming,
+// skip/every/limit schedules, the env spec parser, disarmed-cost
+// invariants), and the WorkerPool shutdown contract the async serving path
+// relies on (destruction DRAINS: queued unstarted tasks run; CancelPending
+// is the explicit way to drop them).
 #include "common/deadline.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,9 @@
 #include <thread>
 
 #include "common/failpoint.h"
+#include "db/exec/delta_exec.h"
 #include "serve/worker_pool.h"
+#include "test_fixtures.h"
 
 namespace cqads {
 namespace {
@@ -63,36 +66,30 @@ TEST(DeadlineTest, EarlierPicksTheSoonerAndHandlesInfinite) {
   EXPECT_TRUE(Deadline::Earlier(inf, inf).is_infinite());
 }
 
-// ------------------------------------------------ CancelToken/ExecControl
+// ----------------------------------------------- delta-scan deadline
 
-TEST(ExecControlTest, NullAndDefaultNeverStopAnything) {
-  EXPECT_FALSE(ExecControl::Expired(nullptr));
-  ExecControl control;
-  EXPECT_FALSE(control.Expired());
+/// ExecuteHybrid over MiniCar with one ingested row, through the seed
+/// executor, under `deadline`.
+Result<db::QueryResult> RunDeltaUnion(const Deadline& deadline) {
+  const db::Table table = testing::MiniCarTable();
+  db::DeltaStore delta(table.schema(), table.num_rows());
+  EXPECT_TRUE(delta.Insert(table.row(0)).ok());
+  db::Query query;
+  query.limit = table.num_rows() + 1;
+  return db::exec::ExecuteHybrid(table, delta, query,
+                                 db::exec::BaseRowSource{nullptr, deadline});
 }
 
-TEST(ExecControlTest, RaisedTokenStopsWithoutClockRead) {
-  CancelToken token;
-  ExecControl control{Deadline::Infinite(), &token};
-  EXPECT_FALSE(control.Expired());
-  token.Cancel();
-  // The deadline is infinite; only the token can make this true.
-  EXPECT_TRUE(control.Expired());
-  EXPECT_TRUE(ExecControl::Expired(&control));
+TEST(DeltaScanDeadlineTest, DefaultDeadlineRunsToCompletion) {
+  auto r = RunDeltaUnion(Deadline());
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r.value().rows.size(), testing::MiniCarTable().num_rows() + 1);
 }
 
-TEST(ExecControlTest, ExpiredDeadlineRaisesTheTokenForSiblings) {
-  CancelToken token;
-  ExecControl control{Deadline::After(microseconds(0)), &token};
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_TRUE(control.Expired());
-  // Sibling workers sharing the token now stop with one relaxed load.
-  EXPECT_TRUE(token.cancelled());
-}
-
-TEST(ExecControlTest, ExpiredWithoutTokenStillReports) {
-  ExecControl control{Deadline::After(microseconds(0)), nullptr};
-  EXPECT_TRUE(control.Expired());
+TEST(DeltaScanDeadlineTest, ExpiredDeadlineStopsTheScan) {
+  auto r = RunDeltaUnion(Deadline::After(microseconds(0)));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 // -------------------------------------------------------------- FailPoints

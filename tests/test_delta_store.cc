@@ -180,23 +180,6 @@ class IngestEngineTest : public ::testing::Test {
     return r.ok() ? core::CanonicalAskResultString(r.value()) : "ERROR";
   }
 
-  /// Exact answers materialized to records (row ids shift across a
-  /// compaction; the records must not).
-  std::vector<db::Record> ExactRecords(const std::string& q) {
-    auto r = engine_.AskInDomain("cars", q);
-    EXPECT_TRUE(r.ok());
-    const core::DomainRuntime* rt = engine_.runtime("cars");
-    std::vector<db::Record> out;
-    if (!r.ok() || rt == nullptr) return out;
-    for (const auto& a : r.value().answers) {
-      if (!a.exact) continue;
-      out.push_back(a.row < rt->table->num_rows()
-                        ? rt->table->row(a.row)
-                        : rt->delta->record(a.row - rt->table->num_rows()));
-    }
-    return out;
-  }
-
   db::Table table_;
   core::CqadsEngine engine_;
 };
@@ -342,40 +325,6 @@ TEST_F(IngestEngineTest, CompactionMatchesFromScratchRebuild) {
   }
 }
 
-/// Ingest + compaction with a PARTITIONED store: the compacted table is
-/// re-sharded and answers stay identical to the monolithic twin.
-TEST_F(IngestEngineTest, CompactionRepartitionsShardedStores) {
-  core::EngineOptions options;
-  options.partition_rows = 4;
-  engine_.SetOptions(options);
-
-  ASSERT_TRUE(engine_
-                  .IngestAd("cars", CarRecord("honda", "fit", 2011, 9500,
-                                              40000, "blue", "automatic",
-                                              "4 door", "2 wheel drive",
-                                              "cd player"))
-                  .ok());
-  ASSERT_TRUE(engine_.RetireAd("cars", 1).ok());
-  auto with_delta = ExactRecords("blue honda");
-  // The ingested fit is already an exact answer pre-compaction.
-  bool fit_found = false;
-  for (const auto& rec : with_delta) {
-    fit_found = fit_found || rec[1] == db::Value::Text("fit");
-  }
-  EXPECT_TRUE(fit_found);
-  ASSERT_TRUE(engine_.CompactDomain("cars").ok());
-
-  const core::DomainRuntime* rt = engine_.runtime("cars");
-  ASSERT_NE(rt, nullptr);
-  ASSERT_NE(rt->partitions, nullptr);
-  EXPECT_EQ(rt->partitions->num_partitions(), 4u);  // 13 rows / 4
-  EXPECT_EQ(rt->partitions->base().num_rows(), 13u);
-
-  // Row ids are renumbered by compaction, but the answered RECORDS are
-  // unchanged.
-  EXPECT_EQ(ExactRecords("blue honda"), with_delta);
-}
-
 TEST_F(IngestEngineTest, IngestValidatesDomainAndRecord) {
   EXPECT_FALSE(engine_.IngestAd("boats", CarRecord("a", "b", 1, 1, 1, "c",
                                                    "d", "e", "f", "g"))
@@ -400,7 +349,7 @@ TEST_F(IngestEngineTest, CompactionRacesSnapshotSwap) {
   std::thread swapper([&] {
     for (int i = 0; i < 5; ++i) {
       core::EngineOptions o;
-      o.partition_rows = (i % 2 == 0) ? 4 : 0;
+      o.explain_plans = i % 2 == 0;
       engine_.SetOptions(o);
     }
   });

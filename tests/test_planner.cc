@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 #include "core/boolean_assembler.h"
 #include "db/compare.h"
@@ -62,6 +65,18 @@ TEST(HistogramTest, SkipsNaNAndHandlesSingleValue) {
   EXPECT_EQ(h.total, 2u);
   EXPECT_DOUBLE_EQ(h.EstimateRangeFraction(6, 8), 1.0);
   EXPECT_DOUBLE_EQ(h.EstimateRangeFraction(8, 9), 0.0);
+}
+
+TEST(HistogramTest, InfiniteValuesKeepTheirRangeAndCount) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {-inf, 1.0, std::nan(""), 2.0, inf};
+  Histogram h = Histogram::Build(values);
+  EXPECT_EQ(h.lo, -inf);
+  EXPECT_EQ(h.hi, inf);
+  EXPECT_EQ(h.total, 4u);
+  std::uint64_t bucketed = 0;
+  for (std::uint32_t c : h.counts) bucketed += c;
+  EXPECT_EQ(bucketed, h.total);
 }
 
 TEST(HistogramTest, EmptyColumn) {

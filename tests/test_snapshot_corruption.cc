@@ -169,12 +169,13 @@ TEST_F(CorruptionTest, GarbageMagic) {
 }
 
 TEST_F(CorruptionTest, VersionSkew) {
-  // A newer writer (v+1) and an older one (v-1: a snapshot written before
-  // the options section lost its execution-path bools) must both be
-  // refused by the header check, naming the version, instead of being
-  // misparsed section by section.
+  // A newer writer (v+1) and older ones must all be refused by the header
+  // check, naming the version, instead of being misparsed section by
+  // section. v-1 wrote partition fields into the options and domain
+  // sections; v-2 also wrote the execution-path bools.
   for (const std::uint32_t version :
-       {snapshot::kFormatVersion + 1, snapshot::kFormatVersion - 1}) {
+       {snapshot::kFormatVersion + 1, snapshot::kFormatVersion - 1,
+        snapshot::kFormatVersion - 2}) {
     std::vector<unsigned char> t = *pristine_;
     // format_version lives at offset 12 (after magic + endian_mark). Stamp
     // it and re-stamp the header checksum so ONLY the version check can

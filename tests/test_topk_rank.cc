@@ -1,12 +1,13 @@
 // The bounded top-k rank path: TopK heap semantics (exact (score desc, row
-// asc) order, tie-safe threshold, k = 0 degenerate, schedule-independent
-// merge), RankBounds block metadata, engine-level byte-parity of pruned and
-// morsel-parallel ranking against the reference oracle (reference/) on
-// tie-heavy, clustered, shared-word and 9000-row fleets, score-tie
-// boundaries at answer_cap, delta rows + tombstones across a compaction,
-// deadline-degraded sweeps, rank counters through ExecStats and
-// ConcurrentServer::StatsJson, and the TSan leg racing morsel-parallel rank
-// against ingest/retire/compaction.
+// asc) order, tie-safe threshold, k = 0 degenerate, push-order
+// independence), RankBounds block metadata, engine-level byte-parity of the
+// pruned best-first ranking against the reference oracle (reference/) on
+// tie-heavy, clustered, shared-word and 9000-row fleets, the blocks a
+// best-first pass visits, score-tie boundaries at answer_cap, delta rows +
+// tombstones across a compaction, deadline-degraded sweeps, rank counters
+// through ExecStats and ConcurrentServer::StatsJson, and the TSan leg
+// racing concurrent server workers' ranking against
+// ingest/retire/compaction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,6 @@
 #include "reference/reference_ask.h"
 #include "serve/concurrent_server.h"
 #include "serve/prepared_cache.h"
-#include "serve/worker_pool.h"
 #include "test_fixtures.h"
 
 namespace cqads {
@@ -120,9 +120,10 @@ TEST(TopKTest, ZeroCapacityAcceptsNothingAndPrunesEverything) {
   EXPECT_TRUE(topk.Take().empty());
 }
 
-TEST(TopKTest, MergeIsScheduleIndependent) {
-  // Split one candidate stream across W "workers" in many different ways;
-  // the merged top-k must always equal the single-accumulator result.
+TEST(TopKTest, PushOrderNeverChangesTheResult) {
+  // The rank stage pushes candidates in best-bound block order, not row
+  // order; whatever the order, the kept entries must equal the
+  // row-order accumulator's.
   Rng rng(7);
   std::vector<TopKEntry> all;
   for (RowId row = 0; row < 300; ++row) {
@@ -130,27 +131,25 @@ TEST(TopKTest, MergeIsScheduleIndependent) {
         TopKEntry{static_cast<double>(rng.UniformInt(0, 11)) / 4.0, row, 0});
   }
   constexpr std::size_t kK = 10;
-  TopK reference(kK);
-  for (const auto& e : all) reference.Push(e.score, e.row, e.tag);
-  const auto want = reference.Take();
+  TopK in_order(kK);
+  for (const auto& e : all) in_order.Push(e.score, e.row, e.tag);
+  const auto want = in_order.Take();
 
-  for (std::size_t workers : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
-    for (std::uint64_t salt = 0; salt < 5; ++salt) {
-      Rng assign(1000 + salt);
-      std::vector<TopK> locals(workers, TopK(kK));
-      for (const auto& e : all) {
-        locals[static_cast<std::size_t>(
-                   assign.UniformInt(0, static_cast<std::int64_t>(workers) - 1))]
-            .Push(e.score, e.row, e.tag);
-      }
-      TopK merged(kK);
-      for (auto& l : locals) merged.Merge(std::move(l));
-      const auto got = merged.Take();
-      ASSERT_EQ(got.size(), want.size()) << workers << " " << salt;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].score, want[i].score) << workers << " " << salt;
-        EXPECT_EQ(got[i].row, want[i].row) << workers << " " << salt;
-      }
+  for (std::uint64_t salt = 0; salt < 8; ++salt) {
+    Rng shuffle(1000 + salt);
+    std::vector<TopKEntry> order = all;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1],
+                order[static_cast<std::size_t>(shuffle.UniformInt(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    TopK topk(kK);
+    for (const auto& e : order) topk.Push(e.score, e.row, e.tag);
+    const auto got = topk.Take();
+    ASSERT_EQ(got.size(), want.size()) << salt;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].score, want[i].score) << salt;
+      EXPECT_EQ(got[i].row, want[i].row) << salt;
     }
   }
 }
@@ -358,8 +357,9 @@ TEST_F(TieBoundaryTest, DeltaRowsAndTombstonesStayByteIdentical) {
 /// Three (make, model) groups of 8 blocks each, prices ascending inside a
 /// group in half-dollar steps from a quarter-dollar offset, so an integer
 /// price target never matches exactly: every "make model price" ask ranks
-/// the N-1 pass that drops price over the whole group. Targets sit in the
-/// group's last block, which row-order visiting reaches last.
+/// the N-1 pass that drops price over the whole group, and every bare
+/// price ask ranks all 24 blocks. Targets sit in a group's last block,
+/// which row-order visiting reaches after 8, 16 or 24 blocks.
 class ClusteredRankTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kGroupRows = 8 * db::exec::kRankBlockRows;
@@ -385,13 +385,15 @@ class ClusteredRankTest : public ::testing::Test {
   }
 
   /// Targets inside each group's last block (rows 7168..8191 of the group,
-  /// prices +3584.25..+4095.75), with and without a color unit.
+  /// prices +3584.25..+4095.75), with and without a color unit, and as
+  /// single-condition asks.
   static std::vector<datagen::GeneratedQuestion> Questions() {
     std::vector<datagen::GeneratedQuestion> qs;
     for (const char* text :
          {"honda accord 13800 dollars", "toyota camry 23650 dollars",
           "ford focus 33900 dollars", "blue honda accord 13900 dollars",
-          "red ford focus 33700 dollars"}) {
+          "red ford focus 33700 dollars", "13800 dollars", "23650 dollars",
+          "33900 dollars"}) {
       datagen::GeneratedQuestion q;
       q.text = text;
       qs.push_back(std::move(q));
@@ -406,11 +408,10 @@ class ClusteredRankTest : public ::testing::Test {
 TEST_F(ClusteredRankTest, BestFirstVisitsTheTargetBlockOnly) {
   const auto questions = Questions();
   ExpectReferenceParity(engine_, "cars", questions, core::EngineOptions(),
-                        "serial");
+                        "best-first");
 
   // The first block scored holds the target, so the threshold reaches its
-  // final value there and every other block of the group bounds below it.
-  engine_.SetOptions(core::EngineOptions());
+  // final value there and every other block bounds below it.
   for (const auto& q : questions) {
     auto r = engine_.AskInDomain("cars", q.text);
     ASSERT_TRUE(r.ok()) << r.status();
@@ -420,12 +421,6 @@ TEST_F(ClusteredRankTest, BestFirstVisitsTheTargetBlockOnly) {
     EXPECT_LE(st.rank_blocks_visited, 2u) << q.text;
     EXPECT_GE(st.rank_blocks_skipped, 6u) << q.text;
   }
-
-  serve::WorkerPool pool(4);
-  core::EngineOptions parallel;
-  parallel.exec_runner = &pool;
-  parallel.exec_parallelism = 4;
-  ExpectReferenceParity(engine_, "cars", questions, parallel, "parallel");
 }
 
 // ------------------------------- N-1 passes over per-unit row bitmaps
@@ -435,8 +430,8 @@ TEST_F(ClusteredRankTest, BestFirstVisitsTheTargetBlockOnly) {
 /// delta rows. Accord prices ascend in half-dollar steps from a quarter-
 /// dollar offset, so "honda accord 14497 dollars" never matches exactly and
 /// ranks the accords of that shared word (rows 10030 and 10031 straddle
-/// the target) through the pass that drops price, which has more than
-/// kMinRowsForParallelExec candidates and so fans out on a pool.
+/// the target) through the pass that drops price, whose 9000 candidates
+/// span nine rank blocks.
 class UnitBitmapRankTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kCamrys = 1037;
@@ -487,19 +482,14 @@ class UnitBitmapRankTest : public ::testing::Test {
     ASSERT_TRUE(engine_.RetireAd("cars", ids[2]).ok());
   }
 
-  /// Top-k ranking vs the reference, serial and 4-way parallel. `cap`
-  /// overrides answer_cap and partial_trigger.
+  /// Top-k ranking vs the reference. `cap` overrides answer_cap and
+  /// partial_trigger.
   void ExpectParityEverywhere(
       const std::vector<datagen::GeneratedQuestion>& questions,
       std::size_t cap = core::EngineOptions().answer_cap) {
-    serve::WorkerPool pool(4);
-    core::EngineOptions serial;
-    serial.answer_cap = serial.partial_trigger = cap;
-    core::EngineOptions parallel = serial;
-    parallel.exec_runner = &pool;
-    parallel.exec_parallelism = 4;
-    ExpectReferenceParity(engine_, "cars", questions, serial, "serial");
-    ExpectReferenceParity(engine_, "cars", questions, parallel, "parallel");
+    core::EngineOptions options;
+    options.answer_cap = options.partial_trigger = cap;
+    ExpectReferenceParity(engine_, "cars", questions, options, "top-k");
   }
 
   /// One case per question: the parse shape it must have, so each case
@@ -599,22 +589,6 @@ TEST_F(UnitBitmapRankTest, TombstonesWithoutDeltaRowsMatchReference) {
   ExpectParityEverywhere(Questions());
 }
 
-TEST_F(UnitBitmapRankTest, PartitionedRuntimesMatchReference) {
-  GrowSharedWordDelta();
-  const auto questions = Questions();
-
-  // A sharded store: the partitioned plan serves the exact query, unit
-  // plans stay monolithic.
-  serve::WorkerPool pool(4);
-  core::EngineOptions sharded;
-  sharded.partition_rows = 1000;
-  ExpectReferenceParity(engine_, "cars", questions, sharded, "partitioned");
-  sharded.exec_runner = &pool;
-  sharded.exec_parallelism = 4;
-  ExpectReferenceParity(engine_, "cars", questions, sharded,
-                        "partitioned parallel");
-}
-
 // A ParsedQuestion put into the prepared cache without unit plans (the
 // cache's public Put() takes any parse) ranks by compiling them on demand.
 TEST_F(UnitBitmapRankTest, CachedParseWithoutUnitPlansCompilesOnDemand) {
@@ -642,13 +616,13 @@ TEST_F(UnitBitmapRankTest, CachedParseWithoutUnitPlansCompilesOnDemand) {
   }
 }
 
-// ------------------------------------------- parallel sweeps (big domain)
+// ------------------------------------------------ big domain (9000 ads)
 
 class BigDomainTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // One domain, enough rows that the rank sweeps clear
-    // kMinRowsForParallelExec and actually fan out on the runner.
+    // One domain of nine rank blocks, so the rank passes have blocks to
+    // order and prune.
     datagen::WorldOptions options;
     options.seed = 20111130;
     options.ads_per_domain = 9000;
@@ -674,26 +648,16 @@ TEST_F(BigDomainTest, MorselParallelRankMatchesReference) {
   Rng rng(321);
   auto questions = datagen::GenerateQuestions(
       *spec, *world_->table("cars"), 25, datagen::QuestionGenOptions(), &rng);
-
-  serve::WorkerPool pool(4);
-  core::EngineOptions parallel;
-  parallel.exec_runner = &pool;
-  parallel.exec_parallelism = 4;
-  ExpectReferenceParity(world_->mutable_engine(), "cars", questions, parallel,
-                        "parallel");
+  ExpectReferenceParity(world_->mutable_engine(), "cars", questions,
+                        core::EngineOptions(), "big domain");
 }
 
-// The CI TSan leg: morsel-parallel pruned ranking racing ingest, retire,
-// compaction, and snapshot swaps. Each request pins its snapshot, per-worker
-// scorer slots keep SimScorer single-threaded, and the shared threshold is
-// the only cross-worker rank state — nothing may race.
+// The CI TSan leg: three server workers ranking at once, racing ingest,
+// retire, compaction, and snapshot swaps. Each request pins its snapshot
+// and owns its scorer and top-k, so no rank state is shared across
+// workers — nothing may race.
 TEST_F(BigDomainTest, ParallelRankSurvivesConcurrentMutation) {
   auto& engine = world_->mutable_engine();
-  serve::WorkerPool exec_pool(3);
-  core::EngineOptions options;
-  options.exec_runner = &exec_pool;
-  options.exec_parallelism = 3;
-  engine.SetOptions(options);
 
   const auto* spec = world_->spec("cars");
   Rng rng(654);
@@ -738,7 +702,6 @@ TEST_F(BigDomainTest, ParallelRankSurvivesConcurrentMutation) {
   writer.join();
   ASSERT_EQ(done.load(), kAsks);
   EXPECT_EQ(errors.load(), 0);
-  engine.SetOptions(core::EngineOptions());
 }
 
 // -------------------------------------- degraded sweeps + server counters
