@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   // ---- batched Eq. 5 ranking: ScoreBlock vs per-row Score ---------------
-  // Cold full-table rank sweeps (every N-1 drop over every row), the
-  // RankStage workload when a question's exact answers run dry. Both sides
+  // Cold full-table rank sweeps (every N-1 drop over every row), the rank
+  // stage's workload when a question's exact answers run dry. Both sides
   // start a FRESH SimScorer per question so the comparison is cold-memo vs
   // cold-memo: the batched path wins by keying each unit's similarity on
   // the row's dictionary-code tuple instead of re-deriving it per row.

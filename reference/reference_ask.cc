@@ -1,7 +1,6 @@
 #include "reference/reference_ask.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,21 +15,6 @@ namespace {
 using core::Answer;
 using core::AskResult;
 using core::ParsedQuestion;
-
-/// The production parse stages. ClassifyStage is a no-op when the context
-/// already names a domain.
-const core::QueryPipeline& ParseStages() {
-  static const core::QueryPipeline* kPipeline = [] {
-    std::vector<std::unique_ptr<core::PipelineStage>> stages;
-    stages.push_back(std::make_unique<core::ClassifyStage>());
-    stages.push_back(std::make_unique<core::TagStage>());
-    stages.push_back(std::make_unique<core::ConditionStage>());
-    stages.push_back(std::make_unique<core::AssembleStage>());
-    stages.push_back(std::make_unique<core::RenderSqlStage>());
-    return new core::QueryPipeline(std::move(stages));
-  }();
-  return *kPipeline;
-}
 
 /// The §4.3.1 N-1 relaxation of a parsed question: all units except
 /// `dropped`, plus the never-dropped fixed fragments, uncapped (ranking
@@ -60,14 +44,16 @@ Result<db::QueryResult> RunSeed(const core::DomainRuntime& rt,
   return db::ExecuteQuery(*rt.table, query);
 }
 
+/// Classifies (a preset domain is kept) and parses with the production
+/// functions, then answers from the parse without compiling a plan.
 Result<AskResult> AnswerInContext(const core::EngineSnapshot& snapshot,
                                   core::QueryContext* ctx) {
-  Status parsed_ok = ParseStages().Run(snapshot, ctx);
-  if (!parsed_ok.ok()) return parsed_ok;
+  CQADS_RETURN_NOT_OK(core::ClassifyQuestion(snapshot, ctx));
+  auto parse = core::ParseQuestion(snapshot, ctx);
+  if (!parse.ok()) return parse.status();
   const core::DomainRuntime* rt = snapshot.runtime(ctx->domain);
-  if (rt == nullptr) return Status::NotFound("unknown domain: " + ctx->domain);
   const core::EngineOptions& options = snapshot.options();
-  const ParsedQuestion& parsed = ctx->parsed;
+  const ParsedQuestion& parsed = parse.value();
   const auto& units = parsed.assembled.units;
   AskResult& out = ctx->result;
   out.sql = parsed.sql;

@@ -2,8 +2,9 @@
 // engine ran it, with none of the serving path's machinery, so every
 // serving-path answer can be checked against it byte for byte.
 //
-//   parse    the production stages classify -> tag -> conditions ->
-//            assemble -> render SQL (core/pipeline.h); no PlanStage
+//   parse    the production ClassifyQuestion and ParseQuestion (classify
+//            -> tag -> conditions -> assemble -> render SQL,
+//            core/pipeline.h); no plan is compiled
 //   exact    §4.3/§4.5: the seed Type-rank executor (db::ExecuteQuery), or,
 //            with a live ingest delta, the delta union over it
 //            (db::exec::ExecuteHybrid with no plan)

@@ -1,5 +1,5 @@
-// Request/response value types of the ask path, shared by the staged
-// pipeline (core/pipeline.h), the engine facade (core/cqads_engine.h), the
+// Request/response value types of the ask path, shared by its four
+// functions (core/pipeline.h), the engine facade (core/cqads_engine.h), the
 // serving layer (serve/), and the test-only reference oracle (reference/).
 // Hoisted out of CqadsEngine so the pipeline, the prepared-query cache, and
 // the server can name them without pulling in the engine.
@@ -43,8 +43,9 @@ struct EngineOptions {
   bool explain_plans = false;
 };
 
-/// Full analysis of a question within a known domain: everything the
-/// parse-side stages (tag -> conditions -> assembly -> SQL) produce.
+/// Full analysis of a question within a known domain: everything
+/// ParseQuestion (tag -> conditions -> assembly -> SQL) and PlanQuestion
+/// (the compiled plans) produce.
 /// Immutable once built (the expression trees are shared_ptr<const Expr>),
 /// so a ParsedQuestion can be memoized by the prepared-query cache and
 /// replayed concurrently.
@@ -100,7 +101,9 @@ struct AskResult {
   std::vector<Answer> answers;
   std::size_t exact_count = 0;
   db::ExecStats stats;
-  /// Per-stage timings in pipeline order (empty for cached parse stages).
+  /// Per-stage timings in stage order, one entry per stage that ran: a
+  /// prepared-cache hit runs no parse stages, so it has no entries for
+  /// them.
   std::vector<StageTiming> timings;
   /// Physical plan dump (EngineOptions::explain_plans only; not part of the
   /// canonical result string).

@@ -117,27 +117,27 @@ Result<CqadsEngine::ParsedQuestion> CqadsEngine::Parse(
     const std::string& domain, const std::string& question) const {
   EngineSnapshot::Ptr snap = snapshot();
   QueryContext ctx(question, domain);
-  Status st = QueryPipeline::ParseOnly().Run(*snap, &ctx);
-  if (!st.ok()) return st;
-  return std::move(ctx.parsed);
+  auto parsed = ParseQuestion(*snap, &ctx);
+  if (!parsed.ok()) return parsed.status();
+  CQADS_RETURN_NOT_OK(PlanQuestion(*snap, &ctx, &parsed.value()));
+  return parsed;
 }
 
 Result<CqadsEngine::AskResult> CqadsEngine::AskInDomain(
     const std::string& domain, const std::string& question) const {
   EngineSnapshot::Ptr snap = snapshot();
   QueryContext ctx(question, domain);
-  Status st = QueryPipeline::Full().Run(*snap, &ctx);
-  if (!st.ok()) return st;
+  CQADS_RETURN_NOT_OK(ClassifyQuestion(*snap, &ctx));
+  auto parsed = ParseQuestion(*snap, &ctx);
+  if (!parsed.ok()) return parsed.status();
+  CQADS_RETURN_NOT_OK(PlanQuestion(*snap, &ctx, &parsed.value()));
+  CQADS_RETURN_NOT_OK(AnswerQuestion(*snap, parsed.value(), &ctx));
   return std::move(ctx.result);
 }
 
 Result<CqadsEngine::AskResult> CqadsEngine::Ask(
     const std::string& question) const {
-  EngineSnapshot::Ptr snap = snapshot();
-  QueryContext ctx(question);
-  Status st = QueryPipeline::Full().Run(*snap, &ctx);
-  if (!st.ok()) return st;
-  return std::move(ctx.result);
+  return AskInDomain("", question);
 }
 
 }  // namespace cqads::core

@@ -15,8 +15,9 @@
 //     classifier training) — core/engine_snapshot.h;
 //   * every mutation freezes an immutable EngineSnapshot that is atomically
 //     swapped in; in-flight queries keep the snapshot they started with;
-//   * Ask/AskInDomain/Parse run the staged QueryPipeline over a snapshot —
-//     core/pipeline.h.
+//   * Ask/AskInDomain/Parse call the ask path's four functions
+//     (ClassifyQuestion, ParseQuestion, PlanQuestion, AnswerQuestion) on
+//     one snapshot — core/pipeline.h.
 // Reads (Ask, Parse, ClassifyDomain, ...) are safe from any number of
 // threads, concurrently with writes (AddDomain, TrainClassifier), which are
 // serialized behind an internal mutex. serve/ConcurrentServer builds on
@@ -121,15 +122,16 @@ class CqadsEngine {
   /// §3: the ads domain of a question. Fails when untrained.
   Result<std::string> ClassifyDomain(const std::string& question) const;
 
-  /// Full analysis of a question within a known domain (the parse-side
-  /// pipeline stages only).
+  /// Full analysis of a question within a known domain: ParseQuestion
+  /// then PlanQuestion, so the parse carries its compiled plans.
   Result<ParsedQuestion> Parse(const std::string& domain,
                                const std::string& question) const;
 
   /// Classifies, then answers: the full pipeline.
   Result<AskResult> Ask(const std::string& question) const;
 
-  /// Answers within a known domain (skips classification).
+  /// Answers within a known domain (skips classification; an empty domain
+  /// classifies, as Ask does).
   Result<AskResult> AskInDomain(const std::string& domain,
                                 const std::string& question) const;
 

@@ -20,8 +20,42 @@
 namespace cqads::core {
 namespace {
 
-/// Stages after classification all need the domain runtime; resolve it once
-/// per call with a uniform error.
+using Clock = std::chrono::steady_clock;
+
+/// Runs one stage of the ask path: the "pipeline.<name>" failpoint, the
+/// deadline check at the stage boundary, then `body`, whose wall-clock time
+/// is appended to ctx->result.timings (a failing stage included). An
+/// expired budget fails the request, unless the stage is `degradable`: it
+/// only improves an answer that is already complete (rank), so it is
+/// skipped and the answer ships marked degraded.
+template <typename Body>
+Status RunStage(const char* name, QueryContext* ctx, Body&& body,
+                bool degradable = false) {
+  // Chaos hook: tests arm "pipeline.<stage>" to inject latency (widening
+  // the window a deadline can expire in) or an error. One relaxed load
+  // when nothing is armed; the site string is only built when armed.
+  if (FailPoints::AnyArmed()) {
+    Status fp =
+        FailPoints::Evaluate((std::string("pipeline.") + name).c_str());
+    if (!fp.ok()) return fp;
+  }
+  if (ctx->deadline.expired()) {
+    if (degradable) {
+      ctx->result.degraded = true;
+      return Status::OK();
+    }
+    return Status::DeadlineExceeded(std::string("budget exhausted before ") +
+                                    name + " stage");
+  }
+  const auto start = Clock::now();
+  Status st = body();
+  const auto elapsed =
+      std::chrono::duration<double, std::micro>(Clock::now() - start);
+  ctx->result.timings.push_back(StageTiming{name, elapsed.count()});
+  return st;
+}
+
+/// The runtime of the request's domain, resolved once per call.
 Result<const DomainRuntime*> RequireRuntime(const EngineSnapshot& s,
                                             const QueryContext& ctx) {
   const DomainRuntime* rt = s.runtime(ctx.domain);
@@ -29,13 +63,23 @@ Result<const DomainRuntime*> RequireRuntime(const EngineSnapshot& s,
   return rt;
 }
 
-/// True when RankStage's N-1 loop can run for this parse (the conditions
-/// knowable before execution; the exact-answer count is checked at rank
-/// time).
+/// True when the rank stage's N-1 loop can run for this parse (the
+/// conditions knowable before execution; the exact-answer count is checked
+/// at rank time).
 bool IsRelaxable(const ParsedQuestion& parsed) {
   return parsed.assembled.units.size() >= 2 &&
          !parsed.query.superlative.has_value() &&
          !parsed.assembled.contradiction;
+}
+
+/// True when `parsed` carries every plan PlanQuestion compiles for it under
+/// `options`.
+bool IsPlanned(const ParsedQuestion& parsed, const EngineOptions& options) {
+  if (parsed.assembled.contradiction) return true;
+  if (parsed.plan == nullptr) return false;
+  if (!options.enable_partial || !IsRelaxable(parsed)) return true;
+  return parsed.unit_plans.size() == parsed.assembled.units.size() &&
+         (parsed.assembled.fixed.empty() || parsed.fixed_plan != nullptr);
 }
 
 /// The AND of the never-dropped fixed fragments; null when there are none.
@@ -54,28 +98,19 @@ Result<db::exec::PlanPtr> CompileFragment(const DomainRuntime& rt,
   return rt.planner->Compile(query);
 }
 
-/// Executes `query` over the runtime through its precompiled plan
-/// (compiling here is the defensive fallback for a parse put into the
-/// prepared cache without one), unioned with the live delta when one rides
-/// on the table.
+/// Executes `query` over the runtime through its compiled plan, unioned
+/// with the live delta when one rides on the table.
 Result<db::QueryResult> RunQuery(const DomainRuntime& rt,
                                  const db::Query& query,
-                                 const db::exec::PhysicalPlan* plan,
+                                 const db::exec::PhysicalPlan& plan,
                                  std::string* explain_out,
                                  const Deadline& deadline) {
-  db::exec::PlanPtr compiled;  // keeps a defensively-compiled plan alive
-  if (plan == nullptr) {
-    auto c = rt.planner->Compile(query);
-    if (!c.ok()) return c.status();
-    compiled = std::move(c).value();
-    plan = compiled.get();
-  }
-  if (explain_out != nullptr) *explain_out = plan->Explain();
+  if (explain_out != nullptr) *explain_out = plan.Explain();
   if (const db::DeltaStore* delta = rt.live_delta()) {
     return db::exec::ExecuteHybrid(*rt.table, *delta, query,
-                                   db::exec::BaseRowSource{plan, deadline});
+                                   db::exec::BaseRowSource{&plan, deadline});
   }
-  return plan->Execute();
+  return plan.Execute();
 }
 
 // ---------------------------------------------------------------------------
@@ -91,32 +126,23 @@ static_assert(db::exec::kRankBlockRows % 64 == 0,
 /// Rows of relaxation fragment `f` of `parsed` as a bitmap over the global
 /// row space [0, total_rows). Fragment f < units.size() is unit f alone,
 /// fragment units.size() the AND of the fixed fragments (every row when
-/// there are none). Base rows come from the fragment's plan (compiled here
-/// when the parse carries none), live delta rows from the seed row
-/// semantics (db/row_match.h), exactly as the delta union of the relaxed
-/// query would. Retired base rows are not masked here.
+/// there are none). Base rows come from the fragment's plan, live delta
+/// rows from the seed row semantics (db/row_match.h), exactly as the delta
+/// union of the relaxed query would. Retired base rows are not masked here.
 Result<db::exec::RowBitmap> FragmentRows(const DomainRuntime& rt,
                                          const ParsedQuestion& parsed,
                                          std::size_t f, std::size_t total_rows,
                                          db::ExecStats* stats) {
   const auto& units = parsed.assembled.units;
   const db::ExprPtr expr = f < units.size() ? units[f].expr : FixedExpr(parsed);
-  const db::exec::PhysicalPlan* plan =
-      f == units.size()            ? parsed.fixed_plan.get()
-      : f < parsed.unit_plans.size() ? parsed.unit_plans[f].get()
-                                     : nullptr;
+  const db::exec::PhysicalPlan* plan = f < units.size()
+                                           ? parsed.unit_plans[f].get()
+                                           : parsed.fixed_plan.get();
   const std::size_t base_rows = rt.table->num_rows();
   db::exec::RowBitmap rows(base_rows);
   if (expr == nullptr) {
     rows.ComplementAll();
   } else {
-    db::exec::PlanPtr compiled;
-    if (plan == nullptr) {
-      auto c = CompileFragment(rt, expr);
-      if (!c.ok()) return c.status();
-      compiled = std::move(c).value();
-      plan = compiled.get();
-    }
     auto lazy = plan->ExecuteLazy(stats);
     if (!lazy.ok()) return lazy.status();
     rows = std::move(lazy).value().ToBitmap(base_rows);
@@ -143,205 +169,21 @@ Result<db::exec::RowBitmap> FragmentRows(const DomainRuntime& rt,
 /// the scoring it would save, so the sweep runs unpruned.
 constexpr std::size_t kMinRankRowsForBounds = 1024;
 
-}  // namespace
-
-QueryContext::QueryContext(std::string question_text, std::string domain_name)
-    : question(std::move(question_text)),
-      domain(std::move(domain_name)),
-      rng(std::hash<std::string>{}(question)) {
-  result.domain = domain;
-}
-
-const text::TokenList& QueryContext::tokens() {
-  if (!tokens_ready_) {
-    tokens_ = text::Tokenize(question);
-    tokens_ready_ = true;
-  }
-  return tokens_;
-}
-
-Status QueryPipeline::Run(const EngineSnapshot& snapshot,
-                          QueryContext* ctx) const {
-  using Clock = std::chrono::steady_clock;
-  for (const auto& stage : stages_) {
-    // Chaos hook: tests arm "pipeline.<stage>" to inject latency (widening
-    // the window a deadline can expire in) or an error. One relaxed load
-    // when nothing is armed; the site string is only built when armed.
-    if (FailPoints::AnyArmed()) {
-      Status fp = FailPoints::Evaluate(
-          (std::string("pipeline.") + stage->name()).c_str());
-      if (!fp.ok()) return fp;
-    }
-    // Deadline check at the stage boundary. An expired budget fails the
-    // request — unless the remaining work only improves an already-complete
-    // answer (RankStage), in which case the answer ships as degraded.
-    if (ctx->deadline.expired()) {
-      if (stage->degradable()) {
-        ctx->result.degraded = true;
-        continue;
-      }
-      return Status::DeadlineExceeded(std::string("budget exhausted before ") +
-                                      stage->name() + " stage");
-    }
-    const auto start = Clock::now();
-    Status st = stage->Run(snapshot, ctx);
-    const auto elapsed =
-        std::chrono::duration<double, std::micro>(Clock::now() - start);
-    ctx->result.timings.push_back(StageTiming{stage->name(), elapsed.count()});
-    if (!st.ok()) return st;
-    if (ctx->done) break;
-  }
-  return Status::OK();
-}
-
-const QueryPipeline& QueryPipeline::Full() {
-  static const QueryPipeline* kPipeline = [] {
-    std::vector<std::unique_ptr<PipelineStage>> stages;
-    stages.push_back(std::make_unique<ClassifyStage>());
-    stages.push_back(std::make_unique<TagStage>());
-    stages.push_back(std::make_unique<ConditionStage>());
-    stages.push_back(std::make_unique<AssembleStage>());
-    stages.push_back(std::make_unique<RenderSqlStage>());
-    stages.push_back(std::make_unique<PlanStage>());
-    stages.push_back(std::make_unique<ExecuteStage>());
-    stages.push_back(std::make_unique<RankStage>());
-    return new QueryPipeline(std::move(stages));
-  }();
-  return *kPipeline;
-}
-
-const QueryPipeline& QueryPipeline::ParseOnly() {
-  static const QueryPipeline* kPipeline = [] {
-    std::vector<std::unique_ptr<PipelineStage>> stages;
-    stages.push_back(std::make_unique<TagStage>());
-    stages.push_back(std::make_unique<ConditionStage>());
-    stages.push_back(std::make_unique<AssembleStage>());
-    stages.push_back(std::make_unique<RenderSqlStage>());
-    stages.push_back(std::make_unique<PlanStage>());
-    return new QueryPipeline(std::move(stages));
-  }();
-  return *kPipeline;
-}
-
-Status ClassifyStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
-  if (!ctx->domain.empty()) {
-    ctx->result.domain = ctx->domain;
-    return Status::OK();
-  }
-  // The shared once-per-request token stream feeds classification; the tag
-  // stage reuses it instead of re-tokenizing the raw question.
-  auto domain = s.ClassifyDomainTokens(ctx->tokens());
-  if (!domain.ok()) return domain.status();
-  ctx->domain = domain.value();
-  ctx->result.domain = ctx->domain;
-  return Status::OK();
-}
-
-Status TagStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
-  auto rt = RequireRuntime(s, *ctx);
-  if (!rt.ok()) return rt.status();
-  if (ctx->parsed_from_cache()) return Status::OK();
-  ctx->parsed.tags = rt.value()->tagger->TagTokens(ctx->tokens());
-  return Status::OK();
-}
-
-Status ConditionStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
-  if (ctx->parsed_from_cache()) return Status::OK();
-  auto rt = RequireRuntime(s, *ctx);
-  if (!rt.ok()) return rt.status();
-  ctx->parsed.conditions =
-      BuildConditions(ctx->parsed.tags.items, rt.value()->table->schema());
-  return Status::OK();
-}
-
-Status AssembleStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
-  if (ctx->parsed_from_cache()) return Status::OK();
-  auto rt = RequireRuntime(s, *ctx);
-  if (!rt.ok()) return rt.status();
-  const db::Table* table = rt.value()->table;
-
-  // §4.2.2 resolver over the column statistics frozen into the snapshot:
-  // candidate attributes are those whose observed [min, max] contains the
-  // bare number; '$' restricts to money attributes.
-  AmbiguousResolver resolver =
-      MakeStatsResolver(&table->schema(), rt.value()->stats);
-
-  auto assembled =
-      AssembleQuery(ctx->parsed.conditions, table->schema(), resolver);
-  if (!assembled.ok()) return assembled.status();
-  ctx->parsed.assembled = std::move(assembled).value();
-  return Status::OK();
-}
-
-Status RenderSqlStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
-  if (ctx->parsed_from_cache()) return Status::OK();
-  auto rt = RequireRuntime(s, *ctx);
-  if (!rt.ok()) return rt.status();
-  ctx->parsed.query.where = ctx->parsed.assembled.where;
-  ctx->parsed.query.superlative = ctx->parsed.assembled.superlative;
-  ctx->parsed.query.limit = s.options().answer_cap;
-  ctx->parsed.sql =
-      db::WriteSql(rt.value()->table->schema(), ctx->parsed.query);
-  return Status::OK();
-}
-
-Status PlanStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
-  if (ctx->parsed_from_cache()) return Status::OK();  // plan memoized
-  // A rule-1c contradiction never executes: don't compile (or cache) a
-  // plan that cannot run.
-  if (ctx->parsed.assembled.contradiction) return Status::OK();
-  auto rt_result = RequireRuntime(s, *ctx);
-  if (!rt_result.ok()) return rt_result.status();
-  const DomainRuntime& rt = *rt_result.value();
-
-  // The compiled artifacts ride on ParsedQuestion, so the prepared cache
-  // memoizes them per snapshot version.
-  auto plan = rt.planner->Compile(ctx->parsed.query);
-  if (!plan.ok()) return plan.status();
-  ctx->parsed.plan = std::move(plan).value();
-
-  // Compile the N-1 relaxation's fragments too — one plan per unit plus
-  // one for the fixed fragments, which RankStage combines as bitmaps — so a
-  // prepared-cache hit replays partial retrieval without compiling. Eager
-  // by design: a cached ParsedQuestion is immutable and shared across
-  // threads, so lazy fill-at-rank-time would need synchronization on the
-  // hot path, and on the paper workload most questions do rank partials.
-  if (s.options().enable_partial && IsRelaxable(ctx->parsed)) {
-    for (const MatchUnit& unit : ctx->parsed.assembled.units) {
-      auto plan = CompileFragment(rt, unit.expr);
-      if (!plan.ok()) return plan.status();
-      ctx->parsed.unit_plans.push_back(std::move(plan).value());
-    }
-    if (db::ExprPtr fixed = FixedExpr(ctx->parsed)) {
-      auto plan = CompileFragment(rt, std::move(fixed));
-      if (!plan.ok()) return plan.status();
-      ctx->parsed.fixed_plan = std::move(plan).value();
-    }
-  }
-  return Status::OK();
-}
-
-Status ExecuteStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
-  auto rt_result = RequireRuntime(s, *ctx);
-  if (!rt_result.ok()) return rt_result.status();
-  const DomainRuntime& rt = *rt_result.value();
-
-  const ParsedQuestion& parsed = ctx->parsed_view();
+/// The execute stage: exact answers, scored with the number of units.
+Status Execute(const EngineSnapshot& s, const DomainRuntime& rt,
+               const ParsedQuestion& parsed, QueryContext* ctx) {
   ctx->result.sql = parsed.sql;
   ctx->result.interpretation = parsed.assembled.interpretation;
   if (parsed.assembled.contradiction) {
     ctx->result.contradiction = true;
-    ctx->done = true;
     return Status::OK();
   }
 
   // The compiled plan, unioned with a live ingest delta when one rides on
-  // the table. RunQuery recompiles defensively for externally-built
-  // ParsedQuestions injected through the prepared cache's public Put()
-  // without plans. The request's deadline rides along so a delta scan
-  // stops mid-flight when it passes.
+  // the table. The request's deadline rides along so a delta scan stops
+  // mid-flight when it passes.
   Result<db::QueryResult> exec =
-      RunQuery(rt, parsed.query, parsed.plan.get(),
+      RunQuery(rt, parsed.query, *parsed.plan,
                s.options().explain_plans ? &ctx->result.explain : nullptr,
                ctx->deadline);
   if (!exec.ok()) return exec.status();
@@ -364,13 +206,11 @@ Status ExecuteStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
   return Status::OK();
 }
 
-Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
-  auto rt_result = RequireRuntime(s, *ctx);
-  if (!rt_result.ok()) return rt_result.status();
-  const DomainRuntime& rt = *rt_result.value();
+/// The rank stage (see AnswerQuestion in core/pipeline.h).
+Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
+            const ParsedQuestion& parsed, QueryContext* ctx) {
   const EngineOptions& options = s.options();
   AskResult& out = ctx->result;
-  const ParsedQuestion& parsed = ctx->parsed_view();
   const auto& units = parsed.assembled.units;
 
   // Partial matching (§4.3.1): trigger when exact answers are lacking.
@@ -608,6 +448,125 @@ Status RankStage::Run(const EngineSnapshot& s, QueryContext* ctx) const {
         std::to_string(stats.rank_threshold_updates) + "\n";
   }
   return Status::OK();
+}
+
+}  // namespace
+
+QueryContext::QueryContext(std::string question_text, std::string domain_name)
+    : question(std::move(question_text)),
+      domain(std::move(domain_name)),
+      rng(std::hash<std::string>{}(question)) {
+  result.domain = domain;
+}
+
+const text::TokenList& QueryContext::tokens() {
+  if (!tokens_ready_) {
+    tokens_ = text::Tokenize(question);
+    tokens_ready_ = true;
+  }
+  return tokens_;
+}
+
+Status ClassifyQuestion(const EngineSnapshot& snapshot, QueryContext* ctx) {
+  return RunStage("classify", ctx, [&] {
+    if (ctx->domain.empty()) {
+      // The shared once-per-request token stream feeds classification;
+      // the tag stage reuses it instead of re-tokenizing the question.
+      auto domain = snapshot.ClassifyDomainTokens(ctx->tokens());
+      if (!domain.ok()) return domain.status();
+      ctx->domain = std::move(domain).value();
+    }
+    ctx->result.domain = ctx->domain;
+    return Status::OK();
+  });
+}
+
+Result<ParsedQuestion> ParseQuestion(const EngineSnapshot& snapshot,
+                                     QueryContext* ctx) {
+  auto rt_result = RequireRuntime(snapshot, *ctx);
+  if (!rt_result.ok()) return rt_result.status();
+  const DomainRuntime& rt = *rt_result.value();
+  const db::Schema& schema = rt.table->schema();
+  ParsedQuestion parsed;
+  CQADS_RETURN_NOT_OK(RunStage("tag", ctx, [&] {
+    parsed.tags = rt.tagger->TagTokens(ctx->tokens());
+    return Status::OK();
+  }));
+  CQADS_RETURN_NOT_OK(RunStage("conditions", ctx, [&] {
+    parsed.conditions = BuildConditions(parsed.tags.items, schema);
+    return Status::OK();
+  }));
+  CQADS_RETURN_NOT_OK(RunStage("assemble", ctx, [&] {
+    // §4.2.2 resolver over the column statistics frozen into the snapshot:
+    // candidate attributes are those whose observed [min, max] contains
+    // the bare number; '$' restricts to money attributes.
+    auto assembled = AssembleQuery(parsed.conditions, schema,
+                                   MakeStatsResolver(&schema, rt.stats));
+    if (!assembled.ok()) return assembled.status();
+    parsed.assembled = std::move(assembled).value();
+    return Status::OK();
+  }));
+  CQADS_RETURN_NOT_OK(RunStage("render_sql", ctx, [&] {
+    parsed.query.where = parsed.assembled.where;
+    parsed.query.superlative = parsed.assembled.superlative;
+    parsed.query.limit = snapshot.options().answer_cap;
+    parsed.sql = db::WriteSql(schema, parsed.query);
+    return Status::OK();
+  }));
+  return parsed;
+}
+
+Status PlanQuestion(const EngineSnapshot& snapshot, QueryContext* ctx,
+                    ParsedQuestion* parsed) {
+  auto rt_result = RequireRuntime(snapshot, *ctx);
+  if (!rt_result.ok()) return rt_result.status();
+  const DomainRuntime& rt = *rt_result.value();
+  return RunStage("plan", ctx, [&] {
+    // A rule-1c contradiction never executes: don't compile (or cache) a
+    // plan that cannot run.
+    if (parsed->assembled.contradiction) return Status::OK();
+    auto plan = rt.planner->Compile(parsed->query);
+    if (!plan.ok()) return plan.status();
+    parsed->plan = std::move(plan).value();
+
+    // The N-1 relaxation's fragments too — one plan per unit plus one for
+    // the fixed fragments, which the rank stage combines as bitmaps — so a
+    // prepared-cache hit replays partial retrieval without compiling.
+    // Eager by design: a cached ParsedQuestion is immutable and shared
+    // across threads, so lazy fill-at-rank-time would need synchronization
+    // on the hot path, and on the paper workload most questions do rank
+    // partials.
+    if (snapshot.options().enable_partial && IsRelaxable(*parsed)) {
+      for (const MatchUnit& unit : parsed->assembled.units) {
+        auto unit_plan = CompileFragment(rt, unit.expr);
+        if (!unit_plan.ok()) return unit_plan.status();
+        parsed->unit_plans.push_back(std::move(unit_plan).value());
+      }
+      if (db::ExprPtr fixed = FixedExpr(*parsed)) {
+        auto fixed_plan = CompileFragment(rt, std::move(fixed));
+        if (!fixed_plan.ok()) return fixed_plan.status();
+        parsed->fixed_plan = std::move(fixed_plan).value();
+      }
+    }
+    return Status::OK();
+  });
+}
+
+Status AnswerQuestion(const EngineSnapshot& snapshot,
+                      const ParsedQuestion& parsed, QueryContext* ctx) {
+  auto rt_result = RequireRuntime(snapshot, *ctx);
+  if (!rt_result.ok()) return rt_result.status();
+  const DomainRuntime& rt = *rt_result.value();
+  if (!IsPlanned(parsed, snapshot.options())) {
+    return Status::FailedPrecondition(
+        "parse lacks the plans PlanQuestion compiles");
+  }
+  CQADS_RETURN_NOT_OK(RunStage(
+      "execute", ctx, [&] { return Execute(snapshot, rt, parsed, ctx); }));
+  if (parsed.assembled.contradiction) return Status::OK();
+  return RunStage(
+      "rank", ctx, [&] { return Rank(snapshot, rt, parsed, ctx); },
+      /*degradable=*/true);
 }
 
 }  // namespace cqads::core

@@ -9,7 +9,7 @@
 //   * the seed free functions below (string-keyed: every call re-stems and
 //     re-tokenizes) — what the reference oracle (reference/reference_ask.h)
 //     scores with;
-//   * SimScorer, the id-keyed per-request scorer RankStage serves with:
+//   * SimScorer, the id-keyed per-request scorer the rank stage serves with:
 //     question-side values are tokenized and resolved to TermIds once per
 //     request, record-side strings are memoized on first sight (dictionary-
 //     encoded stores repeat them heavily), and every similarity probe is an
@@ -90,7 +90,7 @@ double NumSim(double t, double v, double range);
 /// included, satisfying the "memoize unknown-word misses" contract).
 ///
 /// NOT thread-safe (the memo tables mutate): one instance per request,
-/// which is exactly how RankStage uses it. Byte-identical to the free
+/// which is exactly how the rank stage uses it. Byte-identical to the free
 /// functions above on every input.
 class SimScorer {
  public:
@@ -113,8 +113,9 @@ class SimScorer {
   /// they are memoized per distinct code tuple when the unit reads at most
   /// two attributes. Either way the result is bit-identical to Score() row
   /// by row, with the RowRef adapter, memo probes, and measure-string
-  /// composition hoisted out of the candidate loop. RankStage scores every
-  /// base-table candidate of its full-table and relaxation sweeps with it.
+  /// composition hoisted out of the candidate loop. The rank stage scores
+  /// every base-table candidate of its full-table and relaxation sweeps
+  /// with it.
   void ScoreBlock(const db::Table& table, const db::RowId* rows,
                   std::size_t n, std::size_t dropped_unit, double* rank_sims,
                   double* unit_sims);

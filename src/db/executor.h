@@ -38,10 +38,10 @@ struct ExecStats {
   /// masks are skipped without touching their predicates).
   std::size_t rows_visited = 0;
   std::size_t blocks_visited = 0;
-  /// Top-k rank-stage work (RankStage only): 1024-row
+  /// Top-k rank-stage work (the serving rank stage only): 1024-row
   /// candidate blocks actually scored vs skipped because their block-max
   /// score bound fell below the running k-th threshold, rows inside skipped
-  /// blocks that were never scored, and successful raises of the shared
+  /// blocks that were never scored, and successful raises of the running
   /// threshold (top-k heap fills/evictions that tightened pruning).
   std::size_t rank_blocks_visited = 0;
   std::size_t rank_blocks_skipped = 0;

@@ -1,6 +1,7 @@
 #include "serve/concurrent_server.h"
 
 #include <chrono>
+#include <memory>
 #include <utility>
 
 #include "common/json.h"
@@ -143,7 +144,7 @@ Result<core::AskResult> ConcurrentServer::AskInDomain(
 }
 
 Result<core::AskResult> ConcurrentServer::AskImpl(
-    const std::string& domain_hint, const std::string& question,
+    const std::string& domain, const std::string& question,
     Deadline deadline) const {
   if (question.empty()) {
     return Status::InvalidArgument("empty question");
@@ -151,49 +152,31 @@ Result<core::AskResult> ConcurrentServer::AskImpl(
   // Pin the snapshot for the whole request: concurrent AddDomain/retrain
   // swaps don't affect us, and our cache entries are keyed on its version.
   core::EngineSnapshot::Ptr snap = engine_->snapshot();
-
-  // Classification happens out-of-pipeline because the cache key needs the
-  // domain; its wall-clock is folded back into the pipeline's "classify"
-  // timing entry below so AskResult::timings stays honest.
-  std::string domain = domain_hint;
-  double classify_micros = 0.0;
-  if (domain.empty()) {
-    if (deadline.expired()) {
-      return Status::DeadlineExceeded("budget exhausted before classify");
-    }
-    const auto start = std::chrono::steady_clock::now();
-    auto classified = snap->ClassifyDomain(question);
-    classify_micros = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    if (!classified.ok()) return classified.status();
-    domain = std::move(classified).value();
-  }
-
   core::QueryContext ctx(question, domain);
   ctx.deadline = deadline;
+  // The cache key needs the domain, so classification comes first; its
+  // tokens are the ones a miss's tag stage reuses.
+  CQADS_RETURN_NOT_OK(core::ClassifyQuestion(*snap, &ctx));
+
+  // A hit is shared, not copied: AnswerQuestion reads the immutable
+  // memoized ParsedQuestion.
   std::string normalized;
+  PreparedQueryCache::ParsedPtr parsed;
   if (options_.enable_cache) {
     normalized = PreparedQueryCache::NormalizeQuestion(question);
-    // A hit is shared, not copied: the execution stages read through the
-    // immutable memoized ParsedQuestion.
-    ctx.cached_parsed = cache_->Get(domain, normalized, snap->version());
+    parsed = cache_->Get(ctx.domain, normalized, snap->version());
   }
-
-  Status st = core::QueryPipeline::Full().Run(*snap, &ctx);
-  if (!st.ok()) return st;
-  if (classify_micros > 0.0 && !ctx.result.timings.empty() &&
-      ctx.result.timings.front().stage == "classify") {
-    ctx.result.timings.front().micros += classify_micros;
+  if (parsed == nullptr) {
+    auto fresh = core::ParseQuestion(*snap, &ctx);
+    if (!fresh.ok()) return fresh.status();
+    CQADS_RETURN_NOT_OK(core::PlanQuestion(*snap, &ctx, &fresh.value()));
+    parsed = std::make_shared<const core::ParsedQuestion>(
+        std::move(fresh).value());
+    if (options_.enable_cache) {
+      cache_->Put(ctx.domain, normalized, snap->version(), parsed);
+    }
   }
-
-  // A degraded parse is still a complete parse — cache it. (Degradation
-  // only ever truncates rank-stage work, which is never memoized.)
-  if (options_.enable_cache && !ctx.parsed_from_cache()) {
-    cache_->Put(domain, normalized, snap->version(),
-                std::make_shared<const core::ParsedQuestion>(
-                    std::move(ctx.parsed)));
-  }
+  CQADS_RETURN_NOT_OK(core::AnswerQuestion(*snap, *parsed, &ctx));
   return std::move(ctx.result);
 }
 
@@ -208,36 +191,15 @@ std::vector<Result<core::AskResult>> ConcurrentServer::AskBatch(
   std::vector<Result<core::AskResult>> results(
       questions.size(), Status::Internal("not executed"));
   for (std::size_t i = 0; i < questions.size(); ++i) {
-    const Deadline deadline = EffectiveDeadline(
-        i < deadlines.size() ? deadlines[i] : Deadline::Infinite());
-    if (!Admit()) {
-      results[i] = Status::Overloaded("serving queue saturated");
-      continue;
-    }
-    const auto enqueued = Deadline::Clock::now();
-    pool_->Submit([this, &results, &questions, i, deadline, enqueued] {
-      DequeueStarted(enqueued);
-      // A request that expired while queued never executes: dropping it
-      // here costs one clock read instead of a full doomed pipeline run.
-      if (deadline.expired()) {
-        results[i] =
-            Status::DeadlineExceeded("request expired in serving queue");
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      results[i] = AskImpl("", questions[i], deadline);
-      RecordOutcome(results[i]);
-    });
+    AskAsyncInDomain(
+        "", questions[i],
+        i < deadlines.size() ? deadlines[i] : Deadline::Infinite(),
+        [&results, i](Result<core::AskResult> r) {
+          results[i] = std::move(r);
+        });
   }
   pool_->Wait();
   return results;
-}
-
-void ConcurrentServer::AskAsync(
-    std::string question, Deadline deadline,
-    std::function<void(Result<core::AskResult>)> done) const {
-  AskAsyncInDomain("", std::move(question), deadline, std::move(done));
 }
 
 void ConcurrentServer::AskAsyncInDomain(
@@ -253,6 +215,8 @@ void ConcurrentServer::AskAsyncInDomain(
                  question = std::move(question), deadline, enqueued,
                  done = std::move(done)] {
     DequeueStarted(enqueued);
+    // A request that expired while queued never executes: dropping it
+    // here costs one clock read instead of a full doomed ask.
     if (deadline.expired()) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       expired_in_queue_.fetch_add(1, std::memory_order_relaxed);

@@ -1,24 +1,25 @@
-// Concurrent serving over the staged pipeline. A ConcurrentServer owns a
-// worker pool and a sharded prepared-query cache and serves questions
-// against whatever EngineSnapshot the engine currently publishes:
+// Concurrent serving over the ask path (core/pipeline.h). A
+// ConcurrentServer owns a worker pool and a sharded prepared-query cache
+// and serves questions against whatever EngineSnapshot the engine
+// currently publishes:
 //
 //   request --> admission (bounded queue; saturated => shed kOverloaded)
-//           --> snapshot = engine->snapshot()          (lock-free hot path)
 //           --> expired-in-queue check at dequeue      (kDeadlineExceeded,
 //               the doomed request never touches a snapshot)
-//           --> classify (or use caller's domain)
+//           --> snapshot = engine->snapshot()          (lock-free hot path)
+//           --> ClassifyQuestion (keeps the caller's domain)
 //           --> prepared-query cache probe (domain, normalized question)
-//                 hit:  skip tag/conditions/assembly/SQL, go to execution
-//                 miss: run the parse stages, then memoize
-//           --> execute + Rank_Sim rank on the snapshot, one worker per
-//               request, cooperatively cancelled at stage, relaxation-pass
+//                 hit:  reuse the memoized parse and its plans
+//                 miss: ParseQuestion + PlanQuestion, then memoize
+//           --> AnswerQuestion (execute + Rank_Sim rank) on the snapshot,
+//               one worker per request, stopped at stage, relaxation-pass
 //               and block boundaries when the deadline passes
 //               (common/deadline.h)
 //
-// AskBatch fans a batch out across the pool; results keep the input order
-// and are byte-identical (CanonicalAskResultString) to what sequential
-// CqadsEngine::Ask produces, because stages are deterministic and share no
-// mutable state. Snapshot swaps (AddDomain / retrain) during a batch are
+// AskBatch submits each question through AskAsyncInDomain and waits for
+// the pool; results keep the input order and are byte-identical
+// (CanonicalAskResultString) to what sequential CqadsEngine::Ask produces,
+// because stages are deterministic and share no mutable state. Snapshot swaps (AddDomain / retrain) during a batch are
 // safe: each request pins the snapshot it started with, and cache entries
 // are keyed on the snapshot version.
 //
@@ -138,12 +139,9 @@ class ConcurrentServer {
   /// (a shed invokes `done` with kOverloaded before returning); otherwise
   /// the request is queued and `done` fires on a worker thread with the
   /// outcome. `done` must not block long — it runs on the serving pool.
-  void AskAsync(std::string question, Deadline deadline,
-                std::function<void(Result<core::AskResult>)> done) const;
-
-  /// As AskAsync, within a known domain (skips classification). An empty
-  /// domain classifies — this is the single async entry point the network
-  /// front-end routes both "ask" and "ask_in_domain" through.
+  /// An empty `domain` classifies; a non-empty one skips classification.
+  /// The network front-end routes both "ask" and "ask_in_domain" through
+  /// it, and AskBatch submits every question through it.
   void AskAsyncInDomain(std::string domain, std::string question,
                         Deadline deadline,
                         std::function<void(Result<core::AskResult>)> done)

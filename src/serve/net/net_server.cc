@@ -327,6 +327,12 @@ void NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,
       QueueResponse(conn, bad);
       return;
     }
+    if (request.question.size() > kMaxQuestionBytes) {
+      bad.error = "question longer than " +
+                  std::to_string(kMaxQuestionBytes) + " bytes";
+      QueueResponse(conn, bad);
+      return;
+    }
     if (request.method == "ask_in_domain" && request.domain.empty()) {
       bad.error = "ask_in_domain without a domain";
       QueueResponse(conn, bad);

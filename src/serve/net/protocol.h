@@ -21,7 +21,11 @@
 // into the engine's Deadline checks); 0/absent = no
 // deadline; < 0 = an already-expired deadline (deterministic test hook for
 // the expired-in-queue path); budget_ms >= kMaxBudgetMs (about 146 years)
-// = no deadline. An id outside [0, kMaxWireId = 2^53] is invalid_argument.
+// = no deadline. An id outside [0, kMaxWireId = 2^53] is invalid_argument,
+// and so is an ask whose question is empty or longer than kMaxQuestionBytes
+// (4096): the tag stage costs time linear in the question and checks no
+// deadline inside itself, so an unbounded question could pin a worker far
+// past any budget. That refusal carries the request's id.
 //
 // Responses:
 //   {"id":7,"status":"ok","domain":"cars",
@@ -37,6 +41,7 @@
 #ifndef CQADS_SERVE_NET_PROTOCOL_H_
 #define CQADS_SERVE_NET_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -54,6 +59,11 @@ inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 /// The largest id a request or response may carry: 2^53, up to which every
 /// integer survives the trip through a JSON number (a double) unchanged.
 inline constexpr double kMaxWireId = 9007199254740992.0;
+
+/// The longest question an ask may carry over the wire, in bytes. Far
+/// above any real question (the paper's are tens of bytes); in-process
+/// CqadsEngine::Ask takes any length.
+inline constexpr std::size_t kMaxQuestionBytes = 4096;
 
 /// Budgets from here up mean no deadline: 2^62 ns in ms (about 146 years).
 /// The server turns a budget into a steady-clock instant, arrival plus the

@@ -106,12 +106,4 @@ PreparedQueryCache::Stats PreparedQueryCache::stats() const {
   return total;
 }
 
-void PreparedQueryCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
-}
-
 }  // namespace cqads::serve

@@ -69,10 +69,6 @@ class PreparedQueryCache {
   /// Aggregated over shards.
   Stats stats() const;
 
-  void Clear();
-
-  std::size_t num_shards() const { return shards_.size(); }
-
  private:
   struct Entry {
     std::string key;

@@ -37,20 +37,6 @@ void WorkerPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-std::size_t WorkerPool::CancelPending() {
-  // The dropped callables are destroyed OUTSIDE the lock: a task's captures
-  // may run arbitrary destructors (even re-enter Submit), which must not
-  // deadlock against the pool mutex.
-  std::deque<std::function<void()>> dropped;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dropped.swap(queue_);
-    in_flight_ -= dropped.size();
-    if (in_flight_ == 0) all_done_.notify_all();
-  }
-  return dropped.size();
-}
-
 void WorkerPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -23,10 +23,9 @@ class WorkerPool {
 
   /// DRAINS, then joins: every task queued before destruction — including
   /// tasks never started — still RUNS to completion before the workers
-  /// exit. That is the contract async serving relies on (a queued request's
-  /// completion callback always fires); owners that instead want teardown
-  /// without running the backlog call CancelPending() first. Pinned by
-  /// DestructorRunsQueuedTasks / CancelPendingSkipsUnstartedTasks.
+  /// exit. That is the contract async serving relies on: a queued
+  /// request's completion callback always fires. Pinned by
+  /// DestructorRunsQueuedTasks.
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -37,17 +36,6 @@ class WorkerPool {
 
   /// Blocks until every task submitted so far has finished.
   void Wait();
-
-  /// Explicit teardown helper: blocks until the queue is empty AND every
-  /// started task finished. Equivalent to Wait(); named separately so
-  /// server shutdown paths read as what they are.
-  void Drain() { Wait(); }
-
-  /// Drops every queued-but-unstarted task (their callables are destroyed,
-  /// never invoked) and returns how many were dropped. Tasks already
-  /// executing are unaffected — follow with Drain() for a deterministic
-  /// "nothing running, nothing pending" state. Safe from any thread.
-  std::size_t CancelPending();
 
   std::size_t num_threads() const { return threads_.size(); }
 

@@ -193,18 +193,19 @@ TEST_F(ChaosTest, SaturatedQueueShedsWithOverloaded) {
   std::atomic<int> done{0};
   std::atomic<int> ok{0}, shed{0}, other{0};
   for (int i = 0; i < kRequests; ++i) {
-    server.AskAsync((*questions_)[i % questions_->size()],
-                    Deadline::Infinite(),
-                    [&](Result<core::AskResult> r) {
-                      if (r.ok()) {
-                        ok.fetch_add(1);
-                      } else if (r.status().code() == StatusCode::kOverloaded) {
-                        shed.fetch_add(1);
-                      } else {
-                        other.fetch_add(1);
-                      }
-                      done.fetch_add(1);
-                    });
+    server.AskAsyncInDomain("", (*questions_)[i % questions_->size()],
+                            Deadline::Infinite(),
+                            [&](Result<core::AskResult> r) {
+                              if (r.ok()) {
+                                ok.fetch_add(1);
+                              } else if (r.status().code() ==
+                                         StatusCode::kOverloaded) {
+                                shed.fetch_add(1);
+                              } else {
+                                other.fetch_add(1);
+                              }
+                              done.fetch_add(1);
+                            });
   }
   const auto timeout =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -323,26 +324,26 @@ TEST_F(ChaosTest, ServingSurvivesFaultInjectionAndConcurrentMutation) {
           case 1: d = Deadline::After(milliseconds(50)); break;
           default: d = Deadline::After(microseconds(300)); break;
         }
-        server.AskAsync((*questions_)[i % questions_->size()], d,
-                        [&](Result<core::AskResult> r) {
-                          if (r.ok()) {
-                            (r.value().degraded ? degraded : answered)
-                                .fetch_add(1);
-                          } else {
-                            switch (r.status().code()) {
-                              case StatusCode::kDeadlineExceeded:
-                                deadline.fetch_add(1);
-                                break;
-                              case StatusCode::kOverloaded:
-                                shed.fetch_add(1);
-                                break;
-                              default:
-                                errors.fetch_add(1);
-                                break;
-                            }
-                          }
-                          done.fetch_add(1);
-                        });
+        server.AskAsyncInDomain(
+            "", (*questions_)[i % questions_->size()], d,
+            [&](Result<core::AskResult> r) {
+              if (r.ok()) {
+                (r.value().degraded ? degraded : answered).fetch_add(1);
+              } else {
+                switch (r.status().code()) {
+                  case StatusCode::kDeadlineExceeded:
+                    deadline.fetch_add(1);
+                    break;
+                  case StatusCode::kOverloaded:
+                    shed.fetch_add(1);
+                    break;
+                  default:
+                    errors.fetch_add(1);
+                    break;
+                }
+              }
+              done.fetch_add(1);
+            });
       }
     });
   }

@@ -2,8 +2,7 @@
 // delta scan's deadline check, the failpoint registry (arming,
 // skip/every/limit schedules, the env spec parser, disarmed-cost
 // invariants), and the WorkerPool shutdown contract the async serving path
-// relies on (destruction DRAINS: queued unstarted tasks run; CancelPending
-// is the explicit way to drop them).
+// relies on (destruction DRAINS: queued unstarted tasks run).
 #include "common/deadline.h"
 
 #include <gtest/gtest.h>
@@ -239,36 +238,8 @@ TEST(WorkerPoolShutdownTest, DrainWaitsForEverything) {
       ran.fetch_add(1);
     });
   }
-  pool.Drain();
-  EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(WorkerPoolShutdownTest, CancelPendingSkipsUnstartedTasks) {
-  WorkerPool pool(2);
-  std::atomic<int> ran{0};
-  std::atomic<bool> release{false};
-  // Park both workers so everything submitted after stays unstarted.
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit([&] {
-      while (!release.load()) std::this_thread::sleep_for(milliseconds(1));
-      ran.fetch_add(1);
-    });
-  }
-  // Give the workers a moment to claim the parking tasks.
-  std::this_thread::sleep_for(milliseconds(20));
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&] { ran.fetch_add(1); });
-  }
-  const std::size_t dropped = pool.CancelPending();
-  EXPECT_EQ(dropped, 10u);
-  release.store(true);
-  pool.Wait();  // must not hang: in_flight accounting survived the cancel
-  // Only the two parked (already-claimed) tasks ran.
-  EXPECT_EQ(ran.load(), 2);
-  // The pool stays usable after a cancel.
-  pool.Submit([&] { ran.fetch_add(1); });
   pool.Wait();
-  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(ran.load(), 32);
 }
 
 }  // namespace

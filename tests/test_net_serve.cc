@@ -1,8 +1,9 @@
 // End-to-end tests of the network serving front-end: byte-parity with
 // in-process Ask over Unix and TCP sockets, deadline propagation through
 // the socket queue, admission-control shedding visible on the wire,
-// malformed-payload / oversized-frame / mid-response-disconnect failure
-// containment, and the /statsz telemetry dump.
+// malformed-payload / oversized-frame / over-long-question /
+// mid-response-disconnect failure containment, and the /statsz telemetry
+// dump.
 #include "serve/net/net_server.h"
 
 #include <gtest/gtest.h>
@@ -415,6 +416,34 @@ TEST_F(NetServeTest, UnknownMethodAnswersInvalidArgument) {
   auto rejected = client.value().Call(empty);
   ASSERT_TRUE(rejected.ok()) << rejected.status();
   EXPECT_EQ(rejected.value().status, "invalid_argument");
+}
+
+// Questions are bounded at the wire: one at kMaxQuestionBytes is answered,
+// one byte more is refused with its own id, and the connection keeps
+// serving.
+TEST_F(NetServeTest, QuestionLengthIsBoundedOnTheWire) {
+  NetServer::Options options;
+  options.unix_path = SocketPath();
+  auto server = StartServer(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto client = NetClient::ConnectUnix(server.value()->unix_path());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  std::string longest;
+  for (std::size_t i = 0; longest.size() < kMaxQuestionBytes; ++i) {
+    longest += (*questions_)[i % questions_->size()] + " ";
+  }
+  longest.resize(kMaxQuestionBytes);
+  ASSERT_TRUE(world_->engine().Ask(longest).ok());
+  ExpectParity(client.value(), 41, longest);
+
+  auto refused = client.value().Call(MakeAsk(42, longest + "s"));
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(refused.value().id, 42u);
+  EXPECT_EQ(refused.value().status, "invalid_argument");
+  EXPECT_FALSE(refused.value().error.empty());
+
+  ExpectParity(client.value(), 43, (*questions_)[0]);
 }
 
 TEST_F(NetServeTest, ConcurrentClientsKeepByteParity) {

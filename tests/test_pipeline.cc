@@ -1,5 +1,5 @@
-// Staged pipeline and snapshot tests: stage-by-stage equivalence with the
-// engine facade, per-stage timings, contradiction short-circuiting,
+// Ask-path and snapshot tests: the four functions against the engine
+// facade, per-stage timings, contradiction short-circuiting,
 // snapshot lifecycle (version bumps, runtime sharing across generations),
 // and the exact bytes of the canonical answer string.
 #include "core/pipeline.h"
@@ -20,6 +20,15 @@
 
 namespace cqads::core {
 namespace {
+
+/// The whole ask path on `snap`, as CqadsEngine::AskInDomain runs it.
+Status RunAll(const EngineSnapshot& snap, QueryContext* ctx) {
+  CQADS_RETURN_NOT_OK(ClassifyQuestion(snap, ctx));
+  auto parsed = ParseQuestion(snap, ctx);
+  if (!parsed.ok()) return parsed.status();
+  CQADS_RETURN_NOT_OK(PlanQuestion(snap, ctx, &parsed.value()));
+  return AnswerQuestion(snap, parsed.value(), ctx);
+}
 
 class PipelineTest : public ::testing::Test {
  protected:
@@ -65,7 +74,7 @@ TEST_F(PipelineTest, FullPipelineMatchesEngineAsk) {
     ASSERT_TRUE(via_engine.ok()) << q;
 
     QueryContext ctx(q);
-    ASSERT_TRUE(QueryPipeline::Full().Run(*snap, &ctx).ok()) << q;
+    ASSERT_TRUE(RunAll(*snap, &ctx).ok()) << q;
     EXPECT_EQ(CanonicalAskResultString(ctx.result),
               CanonicalAskResultString(via_engine.value()))
         << q;
@@ -96,21 +105,32 @@ TEST_F(PipelineTest, ContradictionShortCircuits) {
   EXPECT_EQ(result.value().timings.back().stage, "execute");
 }
 
-TEST_F(PipelineTest, ParseOnlyPipelineMatchesEngineParse) {
+TEST_F(PipelineTest, ParseAndPlanMatchEngineParse) {
   auto parsed = engine_.Parse("cars", "blue honda accord");
   ASSERT_TRUE(parsed.ok());
 
+  EngineSnapshot::Ptr snap = engine_.snapshot();
   QueryContext ctx("blue honda accord", "cars");
-  ASSERT_TRUE(QueryPipeline::ParseOnly().Run(*engine_.snapshot(), &ctx).ok());
-  EXPECT_EQ(ctx.parsed.sql, parsed.value().sql);
-  EXPECT_EQ(ctx.parsed.assembled.interpretation,
+  auto mine = ParseQuestion(*snap, &ctx);
+  ASSERT_TRUE(mine.ok());
+  ASSERT_TRUE(PlanQuestion(*snap, &ctx, &mine.value()).ok());
+  EXPECT_EQ(mine.value().sql, parsed.value().sql);
+  EXPECT_EQ(mine.value().assembled.interpretation,
             parsed.value().assembled.interpretation);
-  EXPECT_EQ(ctx.parsed.tags.items.size(), parsed.value().tags.items.size());
+  EXPECT_EQ(mine.value().tags.items.size(), parsed.value().tags.items.size());
+  EXPECT_NE(mine.value().plan, nullptr);
+  EXPECT_NE(parsed.value().plan, nullptr);
+  const char* expected[] = {"tag", "conditions", "assemble", "render_sql",
+                            "plan"};
+  ASSERT_EQ(ctx.result.timings.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(ctx.result.timings[i].stage, expected[i]);
+  }
 }
 
-TEST_F(PipelineTest, UnknownDomainFailsInTagStage) {
+TEST_F(PipelineTest, UnknownDomainIsNotFound) {
   QueryContext ctx("blue honda", "boats");
-  Status st = QueryPipeline::Full().Run(*engine_.snapshot(), &ctx);
+  Status st = RunAll(*engine_.snapshot(), &ctx);
   EXPECT_EQ(st.code(), StatusCode::kNotFound);
 }
 
@@ -122,7 +142,7 @@ TEST_F(PipelineTest, SnapshotVersionBumpsOnMutation) {
   // The old snapshot still answers: in-flight queries are unaffected by
   // the swap.
   QueryContext ctx("blue honda accord", "cars");
-  EXPECT_TRUE(QueryPipeline::Full().Run(*before, &ctx).ok());
+  EXPECT_TRUE(RunAll(*before, &ctx).ok());
   EXPECT_FALSE(ctx.result.answers.empty());
 }
 
@@ -151,7 +171,7 @@ TEST_F(PipelineTest, BuilderSnapshotAnswersWithoutEngine) {
   ASSERT_TRUE(snap->classifier_trained());
 
   QueryContext ctx("blue honda accord");
-  ASSERT_TRUE(QueryPipeline::Full().Run(*snap, &ctx).ok());
+  ASSERT_TRUE(RunAll(*snap, &ctx).ok());
   EXPECT_EQ(ctx.result.domain, "cars");
   EXPECT_FALSE(ctx.result.answers.empty());
 }

@@ -89,17 +89,6 @@ TEST(PreparedQueryCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-TEST(PreparedQueryCacheTest, ClearEmptiesAllShards) {
-  PreparedQueryCache cache;
-  for (int i = 0; i < 64; ++i) {
-    cache.Put("cars", "q" + std::to_string(i), 1, MakeParsed("x"));
-  }
-  EXPECT_EQ(cache.stats().entries, 64u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.Get("cars", "q0", 1), nullptr);
-}
-
 TEST(PreparedQueryCacheTest, CapacitySplitsAcrossShards) {
   PreparedQueryCache::Options options;
   options.capacity = 8;

@@ -130,14 +130,49 @@ TEST_F(ServeTest, CacheDoesNotChangeAnswers) {
 }
 
 TEST_F(ServeTest, ServerTimingsIncludeClassification) {
-  // The server classifies out-of-pipeline (the cache key needs the
-  // domain); the cost must still show up in the "classify" timing entry.
+  // The server classifies before the cache probe (the cache key needs the
+  // domain); the cost shows up in the "classify" timing entry.
   ConcurrentServer server(&world_->engine());
   auto r = server.Ask((*questions_)[0]);
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r.value().timings.empty());
   EXPECT_EQ(r.value().timings.front().stage, "classify");
   EXPECT_GT(r.value().timings.front().micros, 0.0);
+}
+
+// A miss runs every stage once; a hit classifies and then runs only the
+// execution stages over the memoized parse.
+TEST_F(ServeTest, CacheHitRunsOnlyClassifyExecuteRank) {
+  std::string question;
+  for (const auto& q : *questions_) {
+    auto r = world_->engine().Ask(q);
+    if (r.ok() && !r.value().contradiction) {
+      question = q;
+      break;
+    }
+  }
+  ASSERT_FALSE(question.empty());
+  auto stages = [](const core::AskResult& r) {
+    std::vector<std::string> names;
+    for (const auto& t : r.timings) names.push_back(t.stage);
+    return names;
+  };
+
+  ConcurrentServer server(&world_->engine());
+  auto miss = server.Ask(question);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_EQ(stages(miss.value()),
+            (std::vector<std::string>{"classify", "tag", "conditions",
+                                      "assemble", "render_sql", "plan",
+                                      "execute", "rank"}));
+  auto hit = server.Ask(question);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(stages(hit.value()),
+            (std::vector<std::string>{"classify", "execute", "rank"}));
+  EXPECT_EQ(server.cache_stats().hits, 1u);
+  EXPECT_EQ(server.cache_stats().misses, 1u);
+  EXPECT_EQ(core::CanonicalAskResultString(hit.value()),
+            core::CanonicalAskResultString(miss.value()));
 }
 
 TEST_F(ServeTest, AskInDomainSkipsClassification) {

@@ -27,7 +27,6 @@
 #include "db/exec/topk.h"
 #include "reference/reference_ask.h"
 #include "serve/concurrent_server.h"
-#include "serve/prepared_cache.h"
 #include "test_fixtures.h"
 
 namespace cqads {
@@ -589,29 +588,21 @@ TEST_F(UnitBitmapRankTest, TombstonesWithoutDeltaRowsMatchReference) {
   ExpectParityEverywhere(Questions());
 }
 
-// A ParsedQuestion put into the prepared cache without unit plans (the
-// cache's public Put() takes any parse) ranks by compiling them on demand.
-TEST_F(UnitBitmapRankTest, CachedParseWithoutUnitPlansCompilesOnDemand) {
-  GrowSharedWordDelta();
+// AnswerQuestion runs only on a parse PlanQuestion completed: one stripped
+// of its unit and fixed-fragment plans is refused.
+TEST_F(UnitBitmapRankTest, AnswerWithoutUnitPlansFailsPrecondition) {
   const auto snap = engine_.snapshot();
-  serve::PreparedQueryCache cache;
   for (const Case& c : kCases) {
     auto parsed = engine_.Parse("cars", c.text);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
     core::ParsedQuestion bare = std::move(parsed).value();
+    ASSERT_EQ(bare.unit_plans.size(), c.units) << c.text;
     bare.unit_plans.clear();
     bare.fixed_plan = nullptr;
-    const std::string key =
-        serve::PreparedQueryCache::NormalizeQuestion(c.text);
-    cache.Put("cars", key, snap->version(),
-              std::make_shared<const core::ParsedQuestion>(std::move(bare)));
 
     core::QueryContext ctx(c.text, "cars");
-    ctx.cached_parsed = cache.Get("cars", key, snap->version());
-    ASSERT_NE(ctx.cached_parsed, nullptr);
-    ASSERT_TRUE(core::QueryPipeline::Full().Run(*snap, &ctx).ok()) << c.text;
-    EXPECT_EQ(core::CanonicalAskResultString(ctx.result),
-              ReferenceCanonical(engine_, "cars", c.text))
+    EXPECT_EQ(core::AnswerQuestion(*snap, bare, &ctx).code(),
+              StatusCode::kFailedPrecondition)
         << c.text;
   }
 }
