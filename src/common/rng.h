@@ -5,11 +5,9 @@
 // Thread-safety: an Rng is mutable single-owner state — never share one
 // across threads. There are deliberately no global generators in the
 // library: datagen/eval code receives an Rng from its caller, and the ask
-// path draws (if ever needed) from the per-request QueryContext::rng, which
-// is seeded deterministically from the question text (core/pipeline.h).
-// Concurrent components that need independent streams should Fork() one
-// child per thread or per request up front, then hand each child to exactly
-// one owner.
+// path draws no random numbers at all. Concurrent components that need
+// independent streams should Fork() one child per thread or per request up
+// front, then hand each child to exactly one owner.
 #ifndef CQADS_COMMON_RNG_H_
 #define CQADS_COMMON_RNG_H_
 

@@ -56,9 +56,9 @@ struct ParsedQuestion {
   db::Query query;      ///< executable form
   std::string sql;      ///< §4.5 nested-subquery SQL text
   /// Compiled cost-aware plan for `query` (null for a contradiction, which
-  /// never executes). Compiled against one snapshot's table/stats; riding
-  /// on ParsedQuestion is what lets the prepared-query cache memoize plans
-  /// per snapshot version for free.
+  /// never executes). Compiled against one parse generation's
+  /// table/stats; riding on ParsedQuestion is what lets the prepared-query
+  /// cache memoize plans per parse generation for free.
   db::exec::PlanPtr plan;
   /// The §4.3.1 N-1 relaxation's building blocks, compiled when the
   /// question is relaxable (>= 2 units, no superlative) so cache hits
@@ -102,8 +102,8 @@ struct AskResult {
   std::size_t exact_count = 0;
   db::ExecStats stats;
   /// Per-stage timings in stage order, one entry per stage that ran: a
-  /// prepared-cache hit runs no parse stages, so it has no entries for
-  /// them.
+  /// prepared-cache hit runs neither classification nor the parse stages,
+  /// so it has no entries for them.
   std::vector<StageTiming> timings;
   /// Physical plan dump (EngineOptions::explain_plans only; not part of the
   /// canonical result string).

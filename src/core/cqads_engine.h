@@ -98,11 +98,12 @@ class CqadsEngine {
       const std::string& path);
 
   /// Replaces the engine-wide knobs and swaps in a fresh snapshot (cheap:
-  /// domain runtimes are shared). The version bump means prepared-cache
-  /// entries — including memoized plans — parsed under the old options are
-  /// never replayed. No option selects an execution strategy, so every
-  /// setting answers byte-identically to the reference oracle
-  /// (reference/reference_ask.h) on the same snapshot.
+  /// domain runtimes are shared). Every domain gets a new parse
+  /// generation, so prepared-cache entries — including memoized plans —
+  /// parsed under the old options are never replayed. No option selects
+  /// an execution strategy, so every setting answers byte-identically to
+  /// the reference oracle (reference/reference_ask.h) on the same
+  /// snapshot.
   void SetOptions(Options options);
 
   /// Trains the domain classifier on the registered tables' ad texts.

@@ -18,20 +18,20 @@ std::vector<std::string> EngineSnapshot::Domains() const {
 
 Result<std::string> EngineSnapshot::ClassifyDomain(
     const std::string& question) const {
-  if (!classifier_trained_) {
+  if (classifier_ == nullptr) {
     return Status::FailedPrecondition("classifier not trained");
   }
-  std::string domain = classifier_.Classify(question);
+  std::string domain = classifier_->Classify(question);
   if (domain.empty()) return Status::Internal("classifier returned no class");
   return domain;
 }
 
 Result<std::string> EngineSnapshot::ClassifyDomainTokens(
     const text::TokenList& tokens) const {
-  if (!classifier_trained_) {
+  if (classifier_ == nullptr) {
     return Status::FailedPrecondition("classifier not trained");
   }
-  std::string domain = classifier_.Classify(tokens);
+  std::string domain = classifier_->Classify(tokens);
   if (domain.empty()) return Status::Internal("classifier returned no class");
   return domain;
 }
@@ -47,7 +47,7 @@ SimilarityContext EngineSnapshot::MakeSimilarityContext(
 
 Result<std::shared_ptr<DomainRuntime>> EngineBuilder::MakeRuntime(
     const db::Table* table, std::shared_ptr<const db::Table> owned,
-    std::shared_ptr<const qlog::TiMatrix> ti) const {
+    std::shared_ptr<const qlog::TiMatrix> ti) {
   auto rt = std::make_shared<DomainRuntime>();
   rt->table = table;
   rt->owned_table = std::move(owned);
@@ -65,6 +65,7 @@ Result<std::shared_ptr<DomainRuntime>> EngineBuilder::MakeRuntime(
   rt->ti_matrix = std::move(ti);
   rt->attr_ranges = ComputeAttrRanges(*table);
   rt->rank_bounds = db::exec::RankBounds::Build(*table);
+  rt->parse_generation = NextGeneration();
   return rt;
 }
 
@@ -86,7 +87,8 @@ Status EngineBuilder::AddDomain(const db::Table* table,
       std::make_shared<const qlog::TiMatrix>(std::move(ti_matrix)));
   if (!rt.ok()) return rt.status();
   runtimes_.emplace(domain, std::move(rt).value());
-  classifier_trained_ = false;  // corpus changed
+  classifier_.reset();  // corpus changed
+  classifier_generation_ = NextGeneration();
   return Status::OK();
 }
 
@@ -109,12 +111,14 @@ Result<db::DeltaStore*> EngineBuilder::PendingDelta(
 
 void EngineBuilder::RefreshDeltaRuntime(const std::string& domain) {
   // A new runtime generation: every heavy component shared, only the frozen
-  // delta copy differs. The copy is what keeps the hot path lock-free — the
-  // pending delta stays mutable here, snapshots only ever see immutable
-  // copies. Each publication costs O(pending delta) record copies, so a
-  // stream of N ingests between compactions is O(N^2) total; compaction
-  // cadence bounds N by design (bulk loads should go through
-  // Table::Insert + AddDomain/CompactDomain, not row-at-a-time IngestAd).
+  // delta copy differs. The copied runtime keeps its parse generation, so
+  // memoized parses and plans stay valid. The copy is what keeps the hot
+  // path lock-free — the pending delta stays mutable here, snapshots only
+  // ever see immutable copies. Each publication costs O(pending delta)
+  // record copies, so a stream of N ingests between compactions is O(N^2)
+  // total; compaction cadence bounds N by design (bulk loads should go
+  // through Table::Insert + AddDomain/CompactDomain, not row-at-a-time
+  // IngestAd).
   auto& slot = runtimes_[domain];
   auto rt = std::make_shared<DomainRuntime>(*slot);
   rt->delta =
@@ -196,12 +200,23 @@ Status EngineBuilder::TrainClassifierWithExtra(
   if (runtimes_.empty()) {
     return Status::FailedPrecondition("no domains registered");
   }
-  classifier_ = classify::QuestionClassifier(classifier_options);
+  auto classifier =
+      std::make_shared<classify::QuestionClassifier>(classifier_options);
   auto docs = MakeTrainingDocs();
   docs.insert(docs.end(), extra_docs.begin(), extra_docs.end());
-  CQADS_RETURN_NOT_OK(classifier_.Train(docs));
-  classifier_trained_ = true;
+  CQADS_RETURN_NOT_OK(classifier->Train(docs));
+  classifier_ = std::move(classifier);
+  classifier_generation_ = NextGeneration();
   return Status::OK();
+}
+
+void EngineBuilder::set_options(const EngineOptions& options) {
+  options_ = options;
+  for (auto& [domain, slot] : runtimes_) {
+    auto rt = std::make_shared<DomainRuntime>(*slot);
+    rt->parse_generation = NextGeneration();
+    slot = std::move(rt);
+  }
 }
 
 EngineSnapshot::Ptr EngineBuilder::Build() {
@@ -210,7 +225,7 @@ EngineSnapshot::Ptr EngineBuilder::Build() {
   snap->version_ = next_version_++;
   snap->runtimes_ = runtimes_;  // shares DomainRuntimes, no rebuild
   snap->classifier_ = classifier_;
-  snap->classifier_trained_ = classifier_trained_;
+  snap->classifier_generation_ = classifier_generation_;
   snap->ws_ = ws_;
   snap->owned_ws_ = owned_ws_;
   return snap;

@@ -89,6 +89,13 @@ struct DomainRuntime {
   /// Rebuilt whenever the base table changes (registration, compaction,
   /// snapshot load); never serialized.
   std::shared_ptr<const db::exec::RankBounds> rank_bounds;
+  /// Stamp of everything a parse and its plans read: the lexicon, tagger,
+  /// frozen stats and planner of `table`, and the engine options. Drawn
+  /// from the builder's generation counter whenever one of them changes
+  /// (AddDomain, CompactDomain, set_options, snapshot load); ingest and
+  /// retire keep it, because only execute and rank read the delta. The
+  /// prepared-query cache serves a memoized parse only while it matches.
+  std::uint64_t parse_generation = 0;
 
   /// The delta when it actually changes answers, nullptr otherwise.
   const db::DeltaStore* live_delta() const {
@@ -103,18 +110,26 @@ class EngineSnapshot {
   const EngineOptions& options() const { return options_; }
 
   /// Monotonically increasing across Build() calls of one builder. The
-  /// prepared-query cache keys on it so entries parsed against a stale
-  /// snapshot never serve a new one.
+  /// prepared-query cache orders its writes by it, so a request pinned on
+  /// an older snapshot never replaces a fresher entry.
   std::uint64_t version() const { return version_; }
 
   /// Per-domain state; nullptr when the domain is unregistered.
   const DomainRuntime* runtime(const std::string& domain) const;
   std::vector<std::string> Domains() const;
 
-  const classify::QuestionClassifier& classifier() const {
-    return classifier_;
+  /// The trained §3 classifier, shared by every snapshot built until the
+  /// next retrain; nullptr when untrained.
+  const classify::QuestionClassifier* classifier() const {
+    return classifier_.get();
   }
-  bool classifier_trained() const { return classifier_trained_; }
+  bool classifier_trained() const { return classifier_ != nullptr; }
+  /// Changes whenever the classifier does (TrainClassifier*, AddDomain,
+  /// snapshot load), so the prepared-query cache can tell whether a
+  /// memoized classification still holds.
+  std::uint64_t classifier_generation() const {
+    return classifier_generation_;
+  }
   const wordsim::WsMatrix* word_similarity() const { return ws_; }
 
   /// The shared-corpus term dictionary (the WS matrix's interned stem
@@ -138,8 +153,8 @@ class EngineSnapshot {
   EngineOptions options_;
   std::uint64_t version_ = 0;
   std::map<std::string, std::shared_ptr<const DomainRuntime>> runtimes_;
-  classify::QuestionClassifier classifier_;
-  bool classifier_trained_ = false;
+  std::shared_ptr<const classify::QuestionClassifier> classifier_;
+  std::uint64_t classifier_generation_ = 0;
   const wordsim::WsMatrix* ws_ = nullptr;
   /// Set when the WS matrix is engine-owned (loaded from a persistent
   /// snapshot) rather than caller-owned: keeps ws_ alive for this
@@ -158,7 +173,7 @@ class EngineBuilder {
   /// Registers a domain: the ads table (indexes built) and its query-log-
   /// derived TI-matrix. Builds the trie lexicon, tagger, planner, rank
   /// bounds, and attribute ranges.
-  /// Invalidates classifier training (corpus changed).
+  /// Untrains the classifier (corpus changed).
   Status AddDomain(const db::Table* table, qlog::TiMatrix ti_matrix);
 
   /// Incremental ingestion: appends the record to the domain's delta store
@@ -226,20 +241,24 @@ class EngineBuilder {
       classify::QuestionClassifier::Options classifier_options = {});
 
   /// Trains on the registered tables' ad texts plus caller-supplied extra
-  /// documents (e.g. domain-keyword texts real ads would contain).
+  /// documents (e.g. domain-keyword texts real ads would contain). On
+  /// failure the previous classifier, trained or not, stays in place.
   Status TrainClassifierWithExtra(
       const std::vector<classify::LabelledDoc>& extra_docs,
       classify::QuestionClassifier::Options classifier_options = {});
 
   /// Freezes the current state into a new immutable snapshot. Cheap:
-  /// domain runtimes are shared by pointer; only the classifier is copied.
+  /// domain runtimes and the classifier are shared by pointer.
   EngineSnapshot::Ptr Build();
 
   const EngineOptions& options() const { return options_; }
 
   /// Replaces the engine-wide knobs (answer caps, partial retrieval,
-  /// explain recording); takes effect in the next Build().
-  void set_options(const EngineOptions& options) { options_ = options; }
+  /// explain recording); takes effect in the next Build(). Restamps every
+  /// runtime's parse generation: answer_cap is the parsed query's limit
+  /// and part of its SQL, and enable_partial decides which unit plans are
+  /// compiled.
+  void set_options(const EngineOptions& options);
 
   bool HasDomain(const std::string& domain) const {
     return runtimes_.count(domain) > 0;
@@ -248,25 +267,33 @@ class EngineBuilder {
  private:
   friend struct cqads::snapshot::SerdeAccess;
 
-  /// Builds a full runtime around `table` (every component fresh).
+  /// Builds a full runtime around `table` (every component fresh, a new
+  /// parse generation).
   Result<std::shared_ptr<DomainRuntime>> MakeRuntime(
       const db::Table* table, std::shared_ptr<const db::Table> owned,
-      std::shared_ptr<const qlog::TiMatrix> ti) const;
+      std::shared_ptr<const qlog::TiMatrix> ti);
+
+  /// The next value of the builder-wide counter that parse and classifier
+  /// generations are drawn from.
+  std::uint64_t NextGeneration() { return next_generation_++; }
 
   /// The domain's mutable pending delta, created on first use.
   Result<db::DeltaStore*> PendingDelta(const std::string& domain);
 
   /// Republishes `domain`'s runtime with the current pending delta frozen
-  /// in (all other components shared).
+  /// in (all other components shared, the parse generation kept).
   void RefreshDeltaRuntime(const std::string& domain);
 
   EngineOptions options_;
   std::uint64_t next_version_ = 1;
+  std::uint64_t next_generation_ = 1;
   std::map<std::string, std::shared_ptr<const DomainRuntime>> runtimes_;
   /// Mutable ingest state per domain; frozen copies go into runtimes.
   std::map<std::string, std::unique_ptr<db::DeltaStore>> pending_deltas_;
-  classify::QuestionClassifier classifier_;
-  bool classifier_trained_ = false;
+  /// Null when untrained. Replaced whole by a successful retrain, never
+  /// mutated, so every snapshot shares it instead of copying it.
+  std::shared_ptr<const classify::QuestionClassifier> classifier_;
+  std::uint64_t classifier_generation_ = 0;
   const wordsim::WsMatrix* ws_ = nullptr;
   /// Engine-owned WS matrix (persistent-snapshot load path); null when the
   /// caller owns the matrix via SetWordSimilarity.

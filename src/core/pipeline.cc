@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 
@@ -453,9 +452,7 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
 }  // namespace
 
 QueryContext::QueryContext(std::string question_text, std::string domain_name)
-    : question(std::move(question_text)),
-      domain(std::move(domain_name)),
-      rng(std::hash<std::string>{}(question)) {
+    : question(std::move(question_text)), domain(std::move(domain_name)) {
   result.domain = domain;
 }
 

@@ -11,12 +11,12 @@
 //   AnswerQuestion    execute, rank
 //
 // A full ask calls all four in order; the prepared-query cache memoizes
-// what ParseQuestion and PlanQuestion produce, so a cache hit calls only
-// ClassifyQuestion and AnswerQuestion. Every stage runs through one
+// what ClassifyQuestion, ParseQuestion and PlanQuestion produce, so a cache
+// hit calls only AnswerQuestion. Every stage runs through one
 // wrapper that evaluates the "pipeline.<stage>" failpoint, checks the
 // deadline at the stage boundary and appends the stage's StageTiming.
 // Nothing here touches shared mutable state: everything request-scoped
-// (the tokens, the answer under construction, timings, the request RNG)
+// (the tokens, the answer under construction, timings, the deadline)
 // lives in the context, so one snapshot serves any number of concurrent
 // contexts.
 //
@@ -32,7 +32,6 @@
 #include <string>
 
 #include "common/deadline.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "core/ask_types.h"
 #include "core/engine_snapshot.h"
@@ -63,11 +62,6 @@ struct QueryContext {
   /// block run.
   Deadline deadline;
 
-  /// Per-request deterministic RNG (seeded from the question text), so any
-  /// stochastic stage draws from request-local state instead of a shared
-  /// generator — a shared Rng would race under the concurrent server.
-  Rng rng;
-
  private:
   bool tokens_ready_ = false;
   text::TokenList tokens_;
@@ -89,7 +83,7 @@ Result<ParsedQuestion> ParseQuestion(const EngineSnapshot& snapshot,
 /// match unit plus one for the fixed fragments, which the rank stage
 /// combines as bitmaps. A contradiction, which never executes, gets none.
 /// The plans ride on the ParsedQuestion, so the prepared-query cache
-/// memoizes them per snapshot version with the rest of the parse.
+/// memoizes them with the rest of the parse, per parse generation.
 Status PlanQuestion(const EngineSnapshot& snapshot, QueryContext* ctx,
                     ParsedQuestion* parsed);
 

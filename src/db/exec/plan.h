@@ -1,7 +1,7 @@
 // Physical query plans over the columnar ads store. A compiled plan is an
 // immutable tree of access-path and set-operation nodes produced by the
 // Planner (db/exec/planner.h) and shared freely across threads — the
-// prepared-query cache memoizes plans per snapshot version and any number
+// prepared-query cache memoizes plans per parse generation and any number
 // of concurrent requests Execute() one plan instance.
 //
 // Node vocabulary:

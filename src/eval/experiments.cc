@@ -158,7 +158,7 @@ ClassificationResult RunClassification(
   // Pin the snapshot so the classifier reference stays valid even if the
   // engine were retrained concurrently.
   core::EngineSnapshot::Ptr snap = world.engine().snapshot();
-  const classify::QuestionClassifier* clf = &snap->classifier();
+  const classify::QuestionClassifier* clf = snap->classifier();
   classify::QuestionClassifier alt;
   if (model != classify::QuestionClassifier::Model::kJBBSM) {
     classify::QuestionClassifier::Options opts;
@@ -167,6 +167,7 @@ ClassificationResult RunClassification(
     if (!alt.Train(world.engine().MakeTrainingDocs()).ok()) return out;
     clf = &alt;
   }
+  if (clf == nullptr) return out;
 
   MeanAccumulator overall;
   for (const auto& [domain, qs] : questions) {

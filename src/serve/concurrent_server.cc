@@ -149,34 +149,41 @@ Result<core::AskResult> ConcurrentServer::AskImpl(
   if (question.empty()) {
     return Status::InvalidArgument("empty question");
   }
-  // Pin the snapshot for the whole request: concurrent AddDomain/retrain
-  // swaps don't affect us, and our cache entries are keyed on its version.
+  // Pin the snapshot for the whole request: concurrent swaps don't affect
+  // us, and a cache entry is served only while this snapshot has the
+  // generations it was parsed under.
   core::EngineSnapshot::Ptr snap = engine_->snapshot();
   core::QueryContext ctx(question, domain);
   ctx.deadline = deadline;
-  // The cache key needs the domain, so classification comes first; its
-  // tokens are the ones a miss's tag stage reuses.
-  CQADS_RETURN_NOT_OK(core::ClassifyQuestion(*snap, &ctx));
 
-  // A hit is shared, not copied: AnswerQuestion reads the immutable
-  // memoized ParsedQuestion.
+  // An ask entry memoizes the classified domain too, so the probe comes
+  // first and a hit skips classification. An untrained classifier has
+  // nothing to probe for: ClassifyQuestion reports it.
+  const bool probe = options_.enable_cache &&
+                     (!domain.empty() || snap->classifier_trained());
   std::string normalized;
-  PreparedQueryCache::ParsedPtr parsed;
-  if (options_.enable_cache) {
+  PreparedQueryCache::Prepared prepared;
+  if (probe) {
     normalized = PreparedQueryCache::NormalizeQuestion(question);
-    parsed = cache_->Get(ctx.domain, normalized, snap->version());
+    prepared = cache_->Get(*snap, domain, normalized);
   }
-  if (parsed == nullptr) {
+  if (prepared.parsed != nullptr) {
+    // Shared, not copied: AnswerQuestion reads the immutable memoized
+    // ParsedQuestion.
+    ctx.domain = std::move(prepared.domain);
+    ctx.result.domain = ctx.domain;
+  } else {
+    CQADS_RETURN_NOT_OK(core::ClassifyQuestion(*snap, &ctx));
     auto fresh = core::ParseQuestion(*snap, &ctx);
     if (!fresh.ok()) return fresh.status();
     CQADS_RETURN_NOT_OK(core::PlanQuestion(*snap, &ctx, &fresh.value()));
-    parsed = std::make_shared<const core::ParsedQuestion>(
+    prepared.parsed = std::make_shared<const core::ParsedQuestion>(
         std::move(fresh).value());
-    if (options_.enable_cache) {
-      cache_->Put(ctx.domain, normalized, snap->version(), parsed);
+    if (probe) {
+      cache_->Put(*snap, domain, normalized, ctx.domain, prepared.parsed);
     }
   }
-  CQADS_RETURN_NOT_OK(core::AnswerQuestion(*snap, *parsed, &ctx));
+  CQADS_RETURN_NOT_OK(core::AnswerQuestion(*snap, *prepared.parsed, &ctx));
   return std::move(ctx.result);
 }
 

@@ -7,10 +7,11 @@
 //           --> expired-in-queue check at dequeue      (kDeadlineExceeded,
 //               the doomed request never touches a snapshot)
 //           --> snapshot = engine->snapshot()          (lock-free hot path)
-//           --> ClassifyQuestion (keeps the caller's domain)
-//           --> prepared-query cache probe (domain, normalized question)
-//                 hit:  reuse the memoized parse and its plans
-//                 miss: ParseQuestion + PlanQuestion, then memoize
+//           --> prepared-query cache probe (scope, normalized question),
+//               the scope being the caller's domain, empty for an ask
+//                 hit:  reuse the memoized domain, parse and plans
+//                 miss: ClassifyQuestion (keeps the caller's domain)
+//                       + ParseQuestion + PlanQuestion, then memoize
 //           --> AnswerQuestion (execute + Rank_Sim rank) on the snapshot,
 //               one worker per request, stopped at stage, relaxation-pass
 //               and block boundaries when the deadline passes
@@ -19,9 +20,11 @@
 // AskBatch submits each question through AskAsyncInDomain and waits for
 // the pool; results keep the input order and are byte-identical
 // (CanonicalAskResultString) to what sequential CqadsEngine::Ask produces,
-// because stages are deterministic and share no mutable state. Snapshot swaps (AddDomain / retrain) during a batch are
-// safe: each request pins the snapshot it started with, and cache entries
-// are keyed on the snapshot version.
+// because stages are deterministic and share no mutable state. Snapshot
+// swaps (ingest, compaction, retrain) during a batch are safe: each
+// request pins the snapshot it started with, and a cache entry serves only
+// while that snapshot has the parse and classifier generations the entry
+// was built under (serve/prepared_cache.h).
 //
 // Deadlines and overload: every request carries a Deadline (explicit, or
 // Options::default_budget, or infinite). With no deadline and no queue
@@ -107,7 +110,8 @@ class ConcurrentServer {
   /// teardown under load (see WorkerPool::~WorkerPool).
   ~ConcurrentServer();
 
-  /// Classifies, then answers. Thread-safe; uses the prepared-query cache.
+  /// Classifies, then answers; a prepared-cache hit reuses the domain its
+  /// entry memoized. Thread-safe.
   /// Synchronous calls run on the caller's thread (no queue, no shedding);
   /// the deadline still bounds pipeline/execution work.
   Result<core::AskResult> Ask(const std::string& question) const;

@@ -35,11 +35,11 @@ std::string PreparedQueryCache::NormalizeQuestion(const std::string& raw) {
   return out;
 }
 
-std::string PreparedQueryCache::MakeKey(const std::string& domain,
+std::string PreparedQueryCache::MakeKey(const std::string& scope,
                                         const std::string& normalized) {
   std::string key;
-  key.reserve(domain.size() + 1 + normalized.size());
-  key.append(domain);
+  key.reserve(scope.size() + 1 + normalized.size());
+  key.append(scope);
   key.push_back('\n');  // cannot occur inside a normalized question
   key.append(normalized);
   return key;
@@ -50,43 +50,56 @@ PreparedQueryCache::Shard& PreparedQueryCache::ShardOf(
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-PreparedQueryCache::ParsedPtr PreparedQueryCache::Get(
-    const std::string& domain, const std::string& normalized,
-    std::uint64_t snapshot_version) {
-  const std::string key = MakeKey(domain, normalized);
+bool PreparedQueryCache::IsCurrent(const Entry& entry,
+                                   const core::EngineSnapshot& snapshot,
+                                   bool ask) {
+  const core::DomainRuntime* rt = snapshot.runtime(entry.domain);
+  return rt != nullptr && rt->parse_generation == entry.parse_generation &&
+         (!ask ||
+          snapshot.classifier_generation() == entry.classifier_generation);
+}
+
+PreparedQueryCache::Prepared PreparedQueryCache::Get(
+    const core::EngineSnapshot& snapshot, const std::string& scope,
+    const std::string& normalized) {
+  const std::string key = MakeKey(scope, normalized);
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end() || it->second->version != snapshot_version) {
+  if (it == shard.index.end() ||
+      !IsCurrent(*it->second, snapshot, scope.empty())) {
     ++shard.misses;
-    return nullptr;
+    return {};
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   ++shard.hits;
-  return it->second->parsed;
+  return {it->second->domain, it->second->parsed};
 }
 
-void PreparedQueryCache::Put(const std::string& domain,
+void PreparedQueryCache::Put(const core::EngineSnapshot& snapshot,
+                             const std::string& scope,
                              const std::string& normalized,
-                             std::uint64_t snapshot_version,
-                             ParsedPtr parsed) {
-  const std::string key = MakeKey(domain, normalized);
-  Shard& shard = ShardOf(key);
+                             const std::string& domain, ParsedPtr parsed) {
+  const core::DomainRuntime* rt = snapshot.runtime(domain);
+  if (rt == nullptr) return;
+  Entry entry{MakeKey(scope, normalized), domain, rt->parse_generation,
+              snapshot.classifier_generation(), snapshot.version(),
+              std::move(parsed)};
+  Shard& shard = ShardOf(entry.key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(entry.key);
   if (it != shard.index.end()) {
-    // A request pinned on an old snapshot may finish after a fresher one
-    // already cached this question; keeping the newer entry avoids miss
-    // churn during the swap window.
-    if (it->second->version <= snapshot_version) {
-      it->second->version = snapshot_version;
-      it->second->parsed = std::move(parsed);
+    // A request pinned on an old snapshot may finish after one on a
+    // fresher snapshot already cached this question; keeping the newer
+    // entry avoids miss churn during the swap window.
+    if (it->second->snapshot_version <= entry.snapshot_version) {
+      *it->second = std::move(entry);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     }
     return;
   }
-  shard.lru.push_front(Entry{key, snapshot_version, std::move(parsed)});
-  shard.index.emplace(key, shard.lru.begin());
+  shard.lru.push_front(std::move(entry));
+  shard.index.emplace(shard.lru.front().key, shard.lru.begin());
   while (shard.lru.size() > per_shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();

@@ -43,7 +43,7 @@ Status SerdeAccess::SaveEngine(const core::EngineBuilder& b,
   ByteWriter meta;
   WriteOptions(b.options_, &meta);
   meta.WriteBool(b.ws_ != nullptr);
-  meta.WriteBool(b.classifier_trained_);
+  meta.WriteBool(b.classifier_ != nullptr);
   meta.WriteU64(b.runtimes_.size());
   for (const auto& [domain, rt] : b.runtimes_) meta.WriteString(domain);
   writer.AddSection("meta", std::move(meta));
@@ -53,9 +53,9 @@ Status SerdeAccess::SaveEngine(const core::EngineBuilder& b,
     WriteWsMatrix(*b.ws_, &w);
     writer.AddSection("ws", std::move(w));
   }
-  if (b.classifier_trained_) {
+  if (b.classifier_ != nullptr) {
     ByteWriter w;
-    WriteClassifier(b.classifier_, &w);
+    WriteClassifier(*b.classifier_, &w);
     writer.AddSection("classifier", std::move(w));
   }
 
@@ -118,8 +118,10 @@ Result<core::EngineBuilder> SerdeAccess::LoadEngine(const std::string& path) {
     auto r = file.value().Reader("classifier");
     if (!r.ok()) return r.status();
     ByteReader cr = std::move(r).value();
-    CQADS_RETURN_NOT_OK(ReadClassifier(&cr, &builder.classifier_));
-    builder.classifier_trained_ = true;
+    auto classifier = std::make_shared<classify::QuestionClassifier>();
+    CQADS_RETURN_NOT_OK(ReadClassifier(&cr, classifier.get()));
+    builder.classifier_ = std::move(classifier);
+    builder.classifier_generation_ = builder.NextGeneration();
   }
 
   for (std::size_t i = 0; i < domains.size(); ++i) {
@@ -170,6 +172,7 @@ Result<core::EngineBuilder> SerdeAccess::LoadEngine(const std::string& path) {
     rt->ti_matrix = std::move(ti);
     rt->attr_ranges = std::move(attr_ranges);
     rt->rank_bounds = db::exec::RankBounds::Build(*rt->table);
+    rt->parse_generation = builder.NextGeneration();
     builder.runtimes_.emplace(domains[i], std::move(rt));
   }
 

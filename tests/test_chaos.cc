@@ -381,5 +381,101 @@ TEST_F(ChaosTest, ServingSurvivesFaultInjectionAndConcurrentMutation) {
   ASSERT_TRUE(server.Ask((*questions_)[0]).ok());
 }
 
+TEST_F(ChaosTest, CachedAnswersStayExactAcrossConcurrentWrites) {
+  // Readers ask through the prepared-query cache, in both scopes, while a
+  // writer ingests, retires, compacts and retrains; the swap failpoint
+  // widens the window between building a snapshot and publishing it.
+  // Entries survive ingest and retire, so the cache must tell by
+  // generations alone which ones still hold: once the writer stops, every
+  // pool question's answer through the cache equals a fresh Ask.
+  core::CqadsEngine engine;
+  BuildPrivateEngine(&engine);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  FailPoints::ArmFromSpec("engine.snapshot_swap=delay_us:200,every:2");
+
+  ConcurrentServer::Options options;
+  options.num_workers = 2;
+  ConcurrentServer server(&engine, options);
+
+  std::atomic<bool> stop_writer{false};
+  std::thread writer([&] {
+    const db::Record cars_record = world_->table("cars")->row(0);
+    const db::Record jewel_record = world_->table("jewellery")->row(0);
+    int iteration = 0;
+    while (!stop_writer.load()) {
+      ++iteration;
+      auto id = engine.IngestAd("cars", cars_record);
+      ASSERT_TRUE(id.ok()) << id.status();
+      if (iteration % 2 == 0) {
+        ASSERT_TRUE(engine.RetireAd("cars", id.value()).ok());
+      }
+      if (iteration % 3 == 0) {
+        ASSERT_TRUE(engine.IngestAd("jewellery", jewel_record).ok());
+      }
+      if (iteration % 5 == 0) {
+        ASSERT_TRUE(engine.CompactDomain("cars").ok());
+      }
+      if (iteration % 7 == 0) {
+        ASSERT_TRUE(engine.CompactDomain("jewellery").ok());
+      }
+      if (iteration % 11 == 0) {
+        ASSERT_TRUE(engine.TrainClassifier().ok());
+      }
+      std::this_thread::sleep_for(microseconds(300));
+    }
+  });
+
+  // Each question is asked both as an ask and as an ask_in_domain of the
+  // domain the world's engine gives it.
+  std::vector<std::string> domains;
+  for (const auto& q : *questions_) {
+    domains.push_back(world_->engine().Ask(q).value().domain);
+  }
+  auto ask = [&](std::size_t i, bool in_domain,
+                 const auto& target) -> Result<core::AskResult> {
+    const std::string& q = (*questions_)[i];
+    return in_domain ? target.AskInDomain(domains[i], q) : target.Ask(q);
+  };
+
+  constexpr int kReaders = 2;
+  constexpr int kAsksPerReader = 200;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < kAsksPerReader; ++i) {
+        (void)ask((t * 7 + i) % questions_->size(), i % 3 == 0, server);
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  stop_writer.store(true);
+  writer.join();
+  FailPoints::DisarmAll();
+  EXPECT_GT(server.cache_stats().hits, 0u);
+
+  // Twice: the first pass meets whatever the churn left in the cache, the
+  // second answers every question from its entry.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < questions_->size(); ++i) {
+      for (bool in_domain : {false, true}) {
+        auto got = ask(i, in_domain, server);
+        auto fresh = ask(i, in_domain, engine);
+        const std::string where = "pass " + std::to_string(pass) +
+                                  (in_domain ? " in " + domains[i] : "") +
+                                  ": " + (*questions_)[i];
+        ASSERT_EQ(got.ok(), fresh.ok()) << where;
+        if (!got.ok()) continue;
+        EXPECT_EQ(core::CanonicalAskResultString(got.value()),
+                  core::CanonicalAskResultString(fresh.value()))
+            << where;
+        if (pass == 1) {
+          ASSERT_FALSE(got.value().timings.empty()) << where;
+          EXPECT_EQ(got.value().timings.front().stage, "execute") << where;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cqads::serve

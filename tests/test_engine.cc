@@ -191,6 +191,26 @@ TEST_F(EngineTest, AskRoutesThroughClassifier) {
   EXPECT_EQ(result.value().domain, "cars");
 }
 
+TEST_F(EngineTest, FailedRetrainKeepsTheTrainedClassifier) {
+  // Retire every row and compact: the corpus is empty, so a retrain fails.
+  for (db::RowId r = 0; r < table_.num_rows(); ++r) {
+    ASSERT_TRUE(engine_.RetireAd("cars", r).ok());
+  }
+  ASSERT_TRUE(engine_.CompactDomain("cars").ok());
+  EXPECT_EQ(engine_.TrainClassifier().code(), StatusCode::kInvalidArgument);
+  auto before = engine_.Ask("blue honda accord");
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before.value().domain, "cars");
+
+  // The next write publishes the classifier that was trained before the
+  // failed attempt, not an empty one.
+  ASSERT_TRUE(engine_.IngestAd("cars", table_.row(0)).ok());
+  auto after = engine_.Ask("blue honda accord");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after.value().domain, "cars");
+  EXPECT_FALSE(after.value().answers.empty());
+}
+
 TEST_F(EngineTest, RuntimeAccessors) {
   EXPECT_NE(engine_.runtime("cars"), nullptr);
   EXPECT_EQ(engine_.runtime("boats"), nullptr);

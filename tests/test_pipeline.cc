@@ -155,12 +155,6 @@ TEST_F(PipelineTest, SnapshotsShareDomainRuntimes) {
   EXPECT_EQ(before->runtime("cars"), after->runtime("cars"));
 }
 
-TEST_F(PipelineTest, PerRequestRngIsDeterministic) {
-  QueryContext a("blue honda accord");
-  QueryContext b("blue honda accord");
-  EXPECT_EQ(a.rng.UniformInt(0, 1000000), b.rng.UniformInt(0, 1000000));
-}
-
 TEST_F(PipelineTest, BuilderSnapshotAnswersWithoutEngine) {
   // The builder/snapshot layer is usable standalone (no facade).
   db::Table table = cqads::testing::MiniCarTable();

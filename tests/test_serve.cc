@@ -130,8 +130,7 @@ TEST_F(ServeTest, CacheDoesNotChangeAnswers) {
 }
 
 TEST_F(ServeTest, ServerTimingsIncludeClassification) {
-  // The server classifies before the cache probe (the cache key needs the
-  // domain); the cost shows up in the "classify" timing entry.
+  // A miss classifies; the cost shows up in the "classify" timing entry.
   ConcurrentServer server(&world_->engine());
   auto r = server.Ask((*questions_)[0]);
   ASSERT_TRUE(r.ok());
@@ -140,9 +139,9 @@ TEST_F(ServeTest, ServerTimingsIncludeClassification) {
   EXPECT_GT(r.value().timings.front().micros, 0.0);
 }
 
-// A miss runs every stage once; a hit classifies and then runs only the
-// execution stages over the memoized parse.
-TEST_F(ServeTest, CacheHitRunsOnlyClassifyExecuteRank) {
+// A miss runs every stage once; a hit takes the domain its entry memoized
+// and runs only the execution stages over the memoized parse.
+TEST_F(ServeTest, CacheHitRunsOnlyExecuteRank) {
   std::string question;
   for (const auto& q : *questions_) {
     auto r = world_->engine().Ask(q);
@@ -168,11 +167,109 @@ TEST_F(ServeTest, CacheHitRunsOnlyClassifyExecuteRank) {
   auto hit = server.Ask(question);
   ASSERT_TRUE(hit.ok()) << hit.status();
   EXPECT_EQ(stages(hit.value()),
-            (std::vector<std::string>{"classify", "execute", "rank"}));
+            (std::vector<std::string>{"execute", "rank"}));
+  EXPECT_EQ(hit.value().domain, miss.value().domain);
   EXPECT_EQ(server.cache_stats().hits, 1u);
   EXPECT_EQ(server.cache_stats().misses, 1u);
   EXPECT_EQ(core::CanonicalAskResultString(hit.value()),
             core::CanonicalAskResultString(miss.value()));
+}
+
+// A cache entry lives as long as what its parse read: ingest and retire
+// keep it, compacting its domain, retraining (for an ask entry) and new
+// options retire it. Every answer, hit or miss, equals a fresh Ask.
+TEST_F(ServeTest, CacheEntriesOutliveIngestAndRetire) {
+  core::CqadsEngine engine;
+  for (const auto& domain : world_->domains()) {
+    qlog::TiMatrix ti = qlog::TiMatrix::Build(*world_->query_log(domain));
+    ASSERT_TRUE(engine.AddDomain(world_->table(domain), std::move(ti)).ok());
+  }
+  engine.SetWordSimilarity(&world_->ws_matrix());
+  ASSERT_TRUE(engine.TrainClassifier().ok());
+  const std::size_t cap = engine.snapshot()->options().answer_cap;
+
+  // A cars question with at least two exact answers and room under the
+  // cap, so a copy of an exact row is answered and a retired one is gone.
+  std::string question;
+  core::AskResult original;
+  for (const auto& q : *questions_) {
+    auto r = engine.Ask(q);
+    if (r.ok() && r.value().domain == "cars" && r.value().exact_count >= 2 &&
+        r.value().answers.size() < cap) {
+      question = q;
+      original = r.value();
+      break;
+    }
+  }
+  ASSERT_FALSE(question.empty());
+
+  ConcurrentServer server(&engine);
+  // Asks through `server` and checks the answer against a fresh engine Ask
+  // and the cache counters against `want_hit`.
+  auto ask = [&](const std::string& domain, bool want_hit) {
+    const auto before = server.cache_stats();
+    auto got = domain.empty() ? server.Ask(question)
+                              : server.AskInDomain(domain, question);
+    EXPECT_TRUE(got.ok()) << got.status();
+    auto fresh = domain.empty() ? engine.Ask(question)
+                                : engine.AskInDomain(domain, question);
+    EXPECT_TRUE(fresh.ok()) << fresh.status();
+    if (!got.ok() || !fresh.ok()) return core::AskResult();
+    const auto after = server.cache_stats();
+    EXPECT_EQ(after.hits - before.hits, want_hit ? 1u : 0u)
+        << "domain '" << domain << "'";
+    EXPECT_EQ(after.misses - before.misses, want_hit ? 0u : 1u)
+        << "domain '" << domain << "'";
+    EXPECT_EQ(core::CanonicalAskResultString(got.value()),
+              core::CanonicalAskResultString(fresh.value()));
+    EXPECT_EQ(got.value().domain, "cars");
+    return got.value();
+  };
+  auto has_row = [](const core::AskResult& r, db::RowId row) {
+    for (const auto& a : r.answers) {
+      if (a.row == row) return true;
+    }
+    return false;
+  };
+
+  ask("", /*want_hit=*/false);
+  ask("cars", /*want_hit=*/false);
+
+  const db::RowId copied = original.answers[0].row;
+  const db::RowId retired = original.answers[1].row;
+  auto added = engine.IngestAd("cars", world_->table("cars")->row(copied));
+  ASSERT_TRUE(added.ok()) << added.status();
+  ASSERT_TRUE(engine.RetireAd("cars", retired).ok());
+  core::AskResult after_writes = ask("", /*want_hit=*/true);
+  EXPECT_TRUE(has_row(after_writes, added.value()));
+  EXPECT_FALSE(has_row(after_writes, retired));
+  ask("cars", /*want_hit=*/true);
+
+  // Compacting another domain leaves the entries alone; compacting cars
+  // retires them.
+  ASSERT_TRUE(
+      engine.IngestAd("jewellery", world_->table("jewellery")->row(0)).ok());
+  ASSERT_TRUE(engine.CompactDomain("jewellery").ok());
+  ask("", /*want_hit=*/true);
+  ask("cars", /*want_hit=*/true);
+  ASSERT_TRUE(engine.CompactDomain("cars").ok());
+  ask("", /*want_hit=*/false);
+  ask("cars", /*want_hit=*/false);
+
+  // A retrain retires the ask entry, whose domain the classifier chose,
+  // but not the ask_in_domain one.
+  ASSERT_TRUE(engine.TrainClassifier().ok());
+  ask("", /*want_hit=*/false);
+  ask("cars", /*want_hit=*/true);
+
+  // The answer cap is part of every parse.
+  core::EngineOptions options = engine.snapshot()->options();
+  options.answer_cap = cap - 1;
+  engine.SetOptions(options);
+  ask("", /*want_hit=*/false);
+  ask("cars", /*want_hit=*/false);
+  ask("", /*want_hit=*/true);
+  ask("cars", /*want_hit=*/true);
 }
 
 TEST_F(ServeTest, AskInDomainSkipsClassification) {
