@@ -2,7 +2,8 @@
 // timings (classify/tag/conditions/rank, ...) and cold-parse throughput of
 // the full ask path vs the reference oracle (reference/reference_ask.h,
 // whose partial ranking runs the seed string-keyed Eq. 5 scoring), the
-// §4.1.3 trie footprint comparison (flat node arrays vs pointer tree), and
+// §4.1.3 trie footprint comparison (flat node arrays vs the reference
+// pointer tree), and
 // regression assertions pinning that WS/TI MostSimilar stays an O(degree)
 // row scan instead of the seed's O(total pairs) full-map scan.
 //
@@ -28,6 +29,7 @@
 #include "core/rank_sim.h"
 #include "eval/experiments.h"
 #include "qlog/ti_matrix.h"
+#include "reference/keyword_trie.h"
 #include "reference/reference_ask.h"
 #include "text/term_dict.h"
 #include "wordsim/ws_matrix.h"
@@ -188,13 +190,21 @@ int main(int argc, char** argv) {
               rank_batched_qps, rank_batch_speedup);
 
   // ---- trie footprint: flat node arrays vs pointer tree (§4.1.3) --------
+  // The pointer tree is the reference KeywordTrie over the same (keyword,
+  // handle) pairs: handle h of a lexicon is its keyword entry(h).value.
   std::size_t flat_bytes = 0, pointer_bytes = 0, nodes = 0, keywords = 0;
   for (const auto& domain : world->domains()) {
-    const auto* rt = world->engine().runtime(domain);
-    flat_bytes += rt->lexicon->flat_trie().MemoryBytes();
-    pointer_bytes += rt->lexicon->trie().ApproxMemoryBytes();
-    nodes += rt->lexicon->flat_trie().node_count();
-    keywords += rt->lexicon->flat_trie().size();
+    const core::DomainLexicon& lexicon =
+        *world->engine().runtime(domain)->lexicon;
+    reference::KeywordTrie pointer_tree;
+    for (std::size_t h = 0; h < lexicon.entry_count(); ++h) {
+      const auto handle = static_cast<std::int32_t>(h);
+      pointer_tree.Insert(lexicon.entry(handle).value, handle);
+    }
+    flat_bytes += lexicon.flat_trie().MemoryBytes();
+    pointer_bytes += pointer_tree.ApproxMemoryBytes();
+    nodes += lexicon.flat_trie().node_count();
+    keywords += lexicon.flat_trie().size();
   }
   bench::PrintHeader("trie footprint (all 8 domains)");
   std::printf("keywords: %zu   nodes: %zu\n", keywords, nodes);

@@ -101,8 +101,8 @@ int main() {
 
   std::printf("=== CQAds with a brand-new domain: boat ads ===\n");
   std::printf("lexicon keywords: %zu trie nodes over %zu entries\n",
-              engine.runtime("boats")->lexicon->trie().node_count(),
-              engine.runtime("boats")->lexicon->trie().size());
+              engine.runtime("boats")->lexicon->flat_trie().node_count(),
+              engine.runtime("boats")->lexicon->flat_trie().size());
 
   const char* questions[] = {
       "fiberglass speedboat under $25,000",

@@ -1,8 +1,8 @@
-#include "trie/keyword_trie.h"
+#include "reference/keyword_trie.h"
 
 #include <algorithm>
 
-namespace cqads::trie {
+namespace cqads::reference {
 
 void KeywordTrie::Insert(std::string_view keyword, std::int32_t handle) {
   if (keyword.empty()) return;
@@ -139,4 +139,4 @@ std::vector<std::size_t> KeywordTrie::AllMatchLengths(std::string_view s,
   return out;
 }
 
-}  // namespace cqads::trie
+}  // namespace cqads::reference

@@ -1,10 +1,13 @@
-// Keyword trie (§4.1.3-4.1.4). One trie is built per ads domain; every node
-// holds one character, and nodes whose root path spells a known keyword are
-// terminal and carry payload handles (indices into a caller-side table of
-// identifiers, per Table 1). The trie is the workhorse behind keyword
-// tagging, spelling correction, and missing-space repair.
-#ifndef CQADS_TRIE_KEYWORD_TRIE_H_
-#define CQADS_TRIE_KEYWORD_TRIE_H_
+// Pointer keyword trie (§4.1.3-4.1.4), the test-only oracle of the serving
+// library's trie::FlatTrie. Every node holds one character in a std::map of
+// children, and nodes whose root path spells a known keyword are terminal
+// and carry payload handles (indices into a caller-side table of
+// identifiers, per Table 1). Insert-at-a-time and pointer-chasing, it is
+// the obvious implementation the frozen flat arrays are checked against
+// (test_flat_trie, test_snapshot), and the structure parse_rank's
+// footprint line and ablate_trie_lookup measure.
+#ifndef CQADS_REFERENCE_KEYWORD_TRIE_H_
+#define CQADS_REFERENCE_KEYWORD_TRIE_H_
 
 #include <cstdint>
 #include <map>
@@ -14,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-namespace cqads::trie {
+namespace cqads::reference {
 
 /// Ordered-tree string dictionary with per-keyword payload handles.
 ///
@@ -119,6 +122,6 @@ class KeywordTrie {
   std::size_t node_count_ = 1;  // root
 };
 
-}  // namespace cqads::trie
+}  // namespace cqads::reference
 
-#endif  // CQADS_TRIE_KEYWORD_TRIE_H_
+#endif  // CQADS_REFERENCE_KEYWORD_TRIE_H_

@@ -6,8 +6,10 @@
 
 #include "core/pipeline.h"
 #include "core/rank_sim.h"
-#include "db/exec/delta_exec.h"
+#include "db/exec/rowset_ops.h"
 #include "db/executor.h"
+#include "db/row_match.h"
+#include "reference/string_rank_sim.h"
 
 namespace cqads::reference {
 namespace {
@@ -33,15 +35,49 @@ db::Query MakeRelaxedQuery(const ParsedQuestion& parsed, std::size_t dropped,
   return relaxed;
 }
 
-/// Runs `query` through the seed executor, unioned with the domain's live
-/// delta (tombstones masked) when there is one.
+/// Runs `query` through the seed executor. With a live delta it builds the
+/// base ∪ delta union itself, in the steps the serving path's ExecuteHybrid
+/// takes over a plan: the base rows the WHERE clause selects minus the
+/// tombstoned ones, then every live delta record it matches, row at a time
+/// (global id base_rows + slot), then the superlative and the cap over the
+/// combined ids.
 Result<db::QueryResult> RunSeed(const core::DomainRuntime& rt,
                                 const db::Query& query) {
-  if (const db::DeltaStore* delta = rt.live_delta()) {
-    return db::exec::ExecuteHybrid(*rt.table, *delta, query,
-                                   db::exec::BaseRowSource{});
+  const db::Table& base = *rt.table;
+  const db::DeltaStore* delta = rt.live_delta();
+  if (delta == nullptr) return db::ExecuteQuery(base, query);
+
+  const std::size_t base_rows = base.num_rows();
+  db::Query raw = query;
+  raw.superlative = std::nullopt;
+  raw.limit = base_rows;
+  auto base_result = db::ExecuteQuery(base, raw);
+  if (!base_result.ok()) return base_result.status();
+  db::QueryResult result = std::move(base_result).value();
+
+  const db::RowSet& retired = delta->retired_base();
+  db::RowSet rows;
+  for (db::RowId row : result.rows) {
+    if (!std::binary_search(retired.begin(), retired.end(), row)) {
+      rows.push_back(row);
+    }
   }
-  return db::ExecuteQuery(*rt.table, query);
+  for (std::size_t i = 0; i < delta->num_rows(); ++i) {
+    if (delta->delta_retired(i)) continue;
+    if (query.where == nullptr ||
+        db::RecordMatchesExpr(base.schema(), delta->record(i), *query.where)) {
+      rows.push_back(static_cast<db::RowId>(base_rows + i));
+    }
+  }
+  db::exec::ApplySuperlativeAndCap(
+      &rows, query.superlative,
+      [&](db::RowId row, std::size_t attr) -> const db::Value& {
+        return row < base_rows ? base.cell(row, attr)
+                               : delta->record(row - base_rows)[attr];
+      },
+      query.limit);
+  result.rows = std::move(rows);
+  return result;
 }
 
 /// Classifies (a preset domain is kept) and parses with the production
@@ -86,11 +122,10 @@ Result<AskResult> AnswerInContext(const core::EngineSnapshot& snapshot,
   const core::SimilarityContext sim = snapshot.MakeSimilarityContext(*rt);
   auto score = [&](db::RowId row, std::size_t dropped) {
     if (row < base_rows) {
-      return core::ScorePartialMatch(table, row, units, dropped, sim);
+      return ScorePartialMatch(table, row, units, dropped, sim);
     }
-    return core::ScorePartialMatch(table.schema(),
-                                   delta->record(row - base_rows), units,
-                                   dropped, sim);
+    return ScorePartialMatch(table.schema(), delta->record(row - base_rows),
+                             units, dropped, sim);
   };
   auto is_live = [&](db::RowId row) {
     if (delta == nullptr) return true;

@@ -6,19 +6,24 @@
 //            -> tag -> conditions -> assemble -> render SQL,
 //            core/pipeline.h); no plan is compiled
 //   exact    §4.3/§4.5: the seed Type-rank executor (db::ExecuteQuery), or,
-//            with a live ingest delta, the delta union over it
-//            (db::exec::ExecuteHybrid with no plan)
+//            with a live ingest delta, its own base ∪ delta union over the
+//            seed executor's rows (tombstones masked, delta records matched
+//            row at a time), independent of the serving path's
+//            db::exec::ExecuteHybrid
 //   partial  §4.3.1: when exact answers are fewer than partial_trigger,
 //            one relaxed query per dropped unit (N-1), each run like the
 //            exact query, every new row scored by Eq. 5 through the
-//            string-keyed ScorePartialMatch; a single-condition question
-//            scores every live row instead
+//            string-keyed ScorePartialMatch (string_rank_sim.h); a
+//            single-condition question scores every live row instead
 //   rank     §4.3.2: every candidate sorted by (rank_sim desc, row asc),
 //            then the answer cap
 //
 // Only tests/ and bench/ link this library (cqads_reference); libcqads, the
 // examples, and servebench do not. It is slow by design: every relaxation
-// is its own query and every candidate is scored and sorted.
+// is its own query and every candidate is scored and sorted. The library
+// also holds the other oracles the serving library's faster structures are
+// checked against: the pointer KeywordTrie (keyword_trie.h) and the
+// string-keyed Eq. 5 scorer (string_rank_sim.h).
 #ifndef CQADS_REFERENCE_REFERENCE_ASK_H_
 #define CQADS_REFERENCE_REFERENCE_ASK_H_
 

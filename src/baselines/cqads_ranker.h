@@ -1,7 +1,8 @@
 // CQAds' own ranking strategy exposed through the shared Ranker interface,
 // so the §5.5 comparison treats all five approaches identically. Candidates
 // are ordered by Rank_Sim (Eq. 5): satisfied units count 1 each and the
-// best-scoring unsatisfied unit contributes its domain similarity.
+// best-scoring unsatisfied unit contributes its domain similarity, scored by
+// core::SimScorer, the serving path's Eq. 5 scorer.
 #ifndef CQADS_BASELINES_CQADS_RANKER_H_
 #define CQADS_BASELINES_CQADS_RANKER_H_
 
@@ -25,6 +26,11 @@ class CqadsRanker : public Ranker {
   double Score(const RankInput& input, db::RowId row) const;
 
  private:
+  /// Score() through the caller's scorer: Rank builds one per call, so its
+  /// memo tables carry across the candidates.
+  static double ScoreWith(const RankInput& input, db::RowId row,
+                          core::SimScorer* scorer);
+
   const core::SimilarityContext* ctx_;
 };
 

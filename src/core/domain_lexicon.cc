@@ -7,16 +7,12 @@
 
 namespace cqads::core {
 
-std::int32_t DomainLexicon::AddEntry(TaggedItem item) {
-  entries_.push_back(std::move(item));
-  return static_cast<std::int32_t>(entries_.size() - 1);
-}
-
 void DomainLexicon::InsertKeyword(const std::string& keyword,
-                                  TaggedItem item) {
+                                  TaggedItem item, KeywordPairs* pairs) {
   if (keyword.empty()) return;
   terms_.Intern(keyword);
-  trie_.Insert(keyword, AddEntry(std::move(item)));
+  pairs->emplace_back(keyword, static_cast<std::int32_t>(entries_.size()));
+  entries_.push_back(std::move(item));
 }
 
 Result<DomainLexicon> DomainLexicon::Build(const db::Table* table) {
@@ -26,6 +22,7 @@ Result<DomainLexicon> DomainLexicon::Build(const db::Table* table) {
         "table indexes must be built before lexicon construction");
   }
   DomainLexicon lex;
+  KeywordPairs pairs;
   lex.schema_ = &table->schema();
   const db::Schema& schema = *lex.schema_;
 
@@ -46,7 +43,7 @@ Result<DomainLexicon> DomainLexicon::Build(const db::Table* table) {
       item.value = value;
       lex.categorical_values_.push_back(
           CatValue{a, value, lex.terms_.Intern(value)});
-      lex.InsertKeyword(value, std::move(item));
+      lex.InsertKeyword(value, std::move(item), &pairs);
     }
   }
 
@@ -58,18 +55,18 @@ Result<DomainLexicon> DomainLexicon::Build(const db::Table* table) {
     name_item.kind = TagKind::kTypeIIIAttr;
     name_item.attr = a;
     name_item.value = attr.name;
-    lex.InsertKeyword(attr.name, name_item);
+    lex.InsertKeyword(attr.name, name_item, &pairs);
     for (const auto& alias : attr.aliases) {
       TaggedItem it = name_item;
       it.value = alias;
-      lex.InsertKeyword(alias, std::move(it));
+      lex.InsertKeyword(alias, std::move(it), &pairs);
     }
     for (const auto& unit : attr.unit_keywords) {
       TaggedItem it;
       it.kind = TagKind::kUnit;
       it.attr = a;
       it.value = unit;
-      lex.InsertKeyword(unit, std::move(it));
+      lex.InsertKeyword(unit, std::move(it), &pairs);
     }
   }
 
@@ -86,7 +83,7 @@ Result<DomainLexicon> DomainLexicon::Build(const db::Table* table) {
       if (!resolved) continue;
       item.attr = *resolved;
     }
-    lex.InsertKeyword(rule.keyword, std::move(item));
+    lex.InsertKeyword(rule.keyword, std::move(item), &pairs);
   }
 
   std::sort(lex.categorical_values_.begin(), lex.categorical_values_.end(),
@@ -95,9 +92,10 @@ Result<DomainLexicon> DomainLexicon::Build(const db::Table* table) {
               return x.value < y.value;
             });
 
-  // Freeze the term substrate: compile the pointer trie into its flat
-  // serve-time form and seal the dict (resolving stem links).
-  lex.flat_trie_ = trie::FlatTrie::Compile(lex.trie_);
+  // Freeze the term substrate: build the trie from the collected pairs
+  // (handles are fresh and ascending, so each keyword keeps its handles in
+  // insertion order) and seal the dict (resolving stem links).
+  lex.flat_trie_ = trie::FlatTrie::Build(std::move(pairs));
   lex.terms_.Freeze();
   return lex;
 }
@@ -147,9 +145,9 @@ std::optional<TaggedItem> DomainLexicon::FindShorthand(
       continue;
     }
     if (value.size() > best_len) {
-      const auto* handles = trie_.Find(value);
-      if (handles == nullptr || handles->empty()) continue;
-      best = &entries_[static_cast<std::size_t>((*handles)[0])];
+      const trie::HandleSpan handles = flat_trie_.Find(value);
+      if (handles.empty()) continue;
+      best = &entries_[static_cast<std::size_t>(handles[0])];
       best_len = value.size();
     }
   }

@@ -3,11 +3,11 @@
 // and the distinct attribute values observed in its ads table, plus the
 // shared identifiers table — exactly the ingredients §4.1.4 lists.
 //
-// Two trie representations coexist deliberately: the pointer KeywordTrie is
-// the mutable build-side structure (and the oracle test_flat_trie checks
-// against); Build() compiles it into an immutable FlatTrie whose contiguous
-// node/edge arrays the tagger walks. Every keyword is also interned into
-// the per-domain TermDict, which caches each term's Porter stem, stopword
+// Build() collects every keyword with a fresh handle into its tag
+// prototype and lays the (keyword, handle) pairs out as one immutable
+// FlatTrie, whose contiguous node/edge arrays the tagger walks and a
+// snapshot maps back zero-copy. Every keyword is also interned into the
+// per-domain TermDict, which caches each term's Porter stem, stopword
 // flag, and normalized shorthand form — shorthand probes read the cached
 // norms instead of re-normalizing every categorical value per unknown
 // token.
@@ -16,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -24,7 +25,6 @@
 #include "text/term_dict.h"
 #include "text/token.h"
 #include "trie/flat_trie.h"
-#include "trie/keyword_trie.h"
 
 namespace cqads::snapshot {
 struct SerdeAccess;
@@ -40,9 +40,7 @@ class DomainLexicon {
   static Result<DomainLexicon> Build(const db::Table* table);
 
   const db::Schema& schema() const { return *schema_; }
-  /// Mutable-representation trie (build side; differential oracle).
-  const trie::KeywordTrie& trie() const { return trie_; }
-  /// Frozen flat compile of trie() — what the tagger walks.
+  /// The domain trie: keywords to handles into entry().
   const trie::FlatTrie& flat_trie() const { return flat_trie_; }
   /// Interned keywords/values with cached stems, stopword flags, and
   /// shorthand norms. Frozen; snapshots publish it per domain.
@@ -77,18 +75,20 @@ class DomainLexicon {
 
  private:
   /// Snapshot serde restores terms_/flat_trie_/entries_/categorical_values_
-  /// directly, rewires schema_ to the loaded table, and rebuilds the
-  /// pointer trie_ from the flat trie (FindShorthand walks trie_ at serve
-  /// time, so it cannot stay empty).
+  /// directly and rewires schema_ to the loaded table.
   friend struct cqads::snapshot::SerdeAccess;
+
+  /// (keyword, handle) pairs collected for FlatTrie::Build.
+  using KeywordPairs = std::vector<std::pair<std::string, std::int32_t>>;
 
   DomainLexicon() = default;
 
-  std::int32_t AddEntry(TaggedItem item);
-  void InsertKeyword(const std::string& keyword, TaggedItem item);
+  /// Adds `item` as a new entry and records (keyword, its handle); empty
+  /// keywords are skipped.
+  void InsertKeyword(const std::string& keyword, TaggedItem item,
+                     KeywordPairs* pairs);
 
   const db::Schema* schema_ = nullptr;
-  trie::KeywordTrie trie_;
   trie::FlatTrie flat_trie_;
   text::TermDict terms_;
   std::vector<TaggedItem> entries_;

@@ -106,8 +106,7 @@ Result<db::QueryResult> RunQuery(const DomainRuntime& rt,
                                  const Deadline& deadline) {
   if (explain_out != nullptr) *explain_out = plan.Explain();
   if (const db::DeltaStore* delta = rt.live_delta()) {
-    return db::exec::ExecuteHybrid(*rt.table, *delta, query,
-                                   db::exec::BaseRowSource{&plan, deadline});
+    return db::exec::ExecuteHybrid(*rt.table, *delta, query, plan, deadline);
   }
   return plan.Execute();
 }

@@ -3,9 +3,8 @@
 // domain trie, resolves shorthand notations, and emits the tagged items the
 // condition builder consumes.
 //
-// The tagger walks the domain's frozen FlatTrie (phrase matching,
-// segmentation, spelling correction); the pointer KeywordTrie it was
-// compiled from stays build-side only.
+// Every trie step (phrase matching, segmentation, spelling correction)
+// walks the domain's FlatTrie.
 #ifndef CQADS_CORE_QUESTION_TAGGER_H_
 #define CQADS_CORE_QUESTION_TAGGER_H_
 
@@ -57,7 +56,7 @@ class QuestionTagger {
 
   const DomainLexicon* lexicon_;
   Options options_;
-  trie::FlatSpellCorrector corrector_;
+  trie::SpellCorrector corrector_;
 };
 
 }  // namespace cqads::core

@@ -5,17 +5,15 @@
 //   Type II  Feat_Sim from the WS word-correlation matrix (normalized)
 //   Type III Num_Sim(T,V) = 1 - |T-V| / AttributeValueRange (Eq. 4)
 //
-// Two scoring forms coexist:
-//   * the seed free functions below (string-keyed: every call re-stems and
-//     re-tokenizes) — what the reference oracle (reference/reference_ask.h)
-//     scores with;
-//   * SimScorer, the id-keyed per-request scorer the rank stage serves with:
-//     question-side values are tokenized and resolved to TermIds once per
-//     request, record-side strings are memoized on first sight (dictionary-
-//     encoded stores repeat them heavily), and every similarity probe is an
-//     id-to-id CSR lookup.
-// Both produce byte-identical PartialScores; test_term_substrate pins it
-// per row, and the reference parity gates pin it end to end.
+// SimScorer is the one Eq. 5 scorer: the rank stage serves with it and
+// fig5's CqadsRanker baseline scores with it. It is id-keyed and
+// per-request: question-side values are tokenized and resolved to TermIds
+// once per request, record-side strings are memoized on first sight
+// (dictionary-encoded stores repeat them heavily), and every similarity
+// probe is an id-to-id CSR lookup. The string-keyed seed scorer in
+// reference/string_rank_sim.h is its test-only oracle: test_term_substrate
+// pins the two bit-equal row by row, and the reference parity gates pin
+// them end to end.
 #ifndef CQADS_CORE_RANK_SIM_H_
 #define CQADS_CORE_RANK_SIM_H_
 
@@ -53,30 +51,9 @@ struct PartialScore {
   std::string measure;     ///< e.g. "TI_Sim on Make and Model"
 };
 
-/// Similarity of the dropped unit's requested value(s) vs the record's.
-double UnitSimilarity(const db::Table& table, db::RowId row,
-                      const MatchUnit& unit, const SimilarityContext& ctx);
-
-/// Record-level form for rows that live outside a Table (delta-store rows
-/// awaiting compaction). Same semantics cell-for-cell: the same record
-/// scores identically through either overload, which is what keeps partial
-/// rankings stable across a compaction.
-double UnitSimilarity(const db::Schema& schema, const db::Record& record,
-                      const MatchUnit& unit, const SimilarityContext& ctx);
-
-/// Full Eq. 5 score: (num_units - 1) + UnitSimilarity, with the measure
-/// label used in Table 2.
-PartialScore ScorePartialMatch(const db::Table& table, db::RowId row,
-                               const std::vector<MatchUnit>& units,
-                               std::size_t dropped_unit,
-                               const SimilarityContext& ctx);
-
-/// Record-level form (delta rows).
-PartialScore ScorePartialMatch(const db::Schema& schema,
-                               const db::Record& record,
-                               const std::vector<MatchUnit>& units,
-                               std::size_t dropped_unit,
-                               const SimilarityContext& ctx);
+/// The Table 2 measure label of a unit's similarity: "TI_Sim on Make and
+/// Model", "Feat_Sim on Color", "Num_Sim on Price".
+std::string MeasureLabel(const db::Schema& schema, const MatchUnit& unit);
 
 /// Num_Sim (Eq. 4), clamped to [0, 1]. `range` <= 0 yields 0.
 double NumSim(double t, double v, double range);
@@ -90,8 +67,7 @@ double NumSim(double t, double v, double range);
 /// included, satisfying the "memoize unknown-word misses" contract).
 ///
 /// NOT thread-safe (the memo tables mutate): one instance per request,
-/// which is exactly how the rank stage uses it. Byte-identical to the free
-/// functions above on every input.
+/// which is exactly how the rank stage uses it.
 class SimScorer {
  public:
   SimScorer(const db::Schema& schema, const std::vector<MatchUnit>& units,

@@ -14,29 +14,16 @@ const Value& HybridCell(const Table& base, const DeltaStore* delta, RowId row,
 }
 
 Result<QueryResult> ExecuteHybrid(const Table& base, const DeltaStore& delta,
-                                  const Query& query,
-                                  const BaseRowSource& source) {
+                                  const Query& query, const PhysicalPlan& plan,
+                                  const Deadline& deadline) {
   QueryResult result;
   const std::size_t base_rows = base.num_rows();
 
-  // 1. Base rows through the given plan (the seed executor without one),
-  //    uncapped and unsorted (plain ascending RowIds).
-  RowSet rows;
-  if (source.plan != nullptr) {
-    auto r = source.plan->ExecuteRowSet(&result.stats);
-    if (!r.ok()) return r.status();
-    rows = std::move(r).value();
-  } else {
-    // Seed Type-rank executor. Execute() with the superlative and cap
-    // stripped returns exactly the raw constraint row set (ascending).
-    Query raw = query;
-    raw.superlative = std::nullopt;
-    raw.limit = base_rows;
-    auto r = Executor(&base).Execute(raw);
-    if (!r.ok()) return r.status();
-    result.stats += r.value().stats;
-    rows = std::move(r).value().rows;
-  }
+  // 1. Base rows through the plan, uncapped and unsorted (plain ascending
+  //    RowIds).
+  auto base_set = plan.ExecuteRowSet(&result.stats);
+  if (!base_set.ok()) return base_set.status();
+  RowSet rows = std::move(base_set).value();
 
   // 2. Mask tombstoned base rows.
   if (!delta.retired_base().empty()) {
@@ -50,7 +37,7 @@ Result<QueryResult> ExecuteHybrid(const Table& base, const DeltaStore& delta,
   const Schema& schema = base.schema();
   std::size_t scanned = 0;
   for (std::size_t i = 0; i < delta.num_rows(); ++i) {
-    if (i % kCancelCheckRows == 0 && source.deadline.expired()) {
+    if (i % kCancelCheckRows == 0 && deadline.expired()) {
       return Status::DeadlineExceeded("delta scan cancelled");
     }
     if (delta.delta_retired(i)) continue;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -226,6 +225,29 @@ Status SerdeAccess::ReadFlatTrie(ByteReader* r, const ArenaPtr& owner,
     if (edges[i].target >= n_nodes) {
       return r->Corrupt("trie edge target out of bounds");
     }
+  }
+  // Tree shape, in the DFS preorder BuildNode writes: node i's edges follow
+  // node i-1's, each targets a node after i, and every node but the root
+  // has exactly one parent edge. A cycle or a shared subtree would make
+  // Completions (and with it spelling correction) enumerate without end.
+  std::vector<bool> has_parent(n_nodes, false);
+  std::uint64_t next_edge = 0;
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    if (nodes[i].edge_begin != next_edge) {
+      return r->Corrupt("trie edge spans not in node order");
+    }
+    next_edge += nodes[i].edge_count;
+    for (std::uint64_t e = nodes[i].edge_begin; e < next_edge; ++e) {
+      const std::uint32_t target = edges[e].target;
+      if (target <= i || has_parent[target]) {
+        return r->Corrupt("trie edges do not form a tree");
+      }
+      has_parent[target] = true;
+    }
+  }
+  if (next_edge != n_edges ||
+      n_edges + 1 != std::max<std::size_t>(n_nodes, 1)) {
+    return r->Corrupt("trie edges do not form a tree");
   }
   out->nodes_ = common::PodVec<Node>::View(nodes, n_nodes, owner);
   out->edges_ = common::PodVec<Edge>::View(edges, n_edges, owner);
@@ -843,21 +865,14 @@ Status SerdeAccess::ReadLexicon(
         {static_cast<std::size_t>(attr), std::move(value), id});
   }
 
-  lex->schema_ = &table->schema();
-  // Rebuild the pointer trie from the flat compile: Completions enumerates
-  // (keyword, handle) pairs in exactly the order Insert originally recorded
-  // them per keyword, and FindShorthand walks trie_ at serve time.
-  if (lex->flat_trie_.Root().valid()) {
-    auto pairs = lex->flat_trie_.Completions(
-        lex->flat_trie_.Root(), "", std::numeric_limits<std::size_t>::max());
-    for (const auto& [keyword, handle] : pairs) {
-      if (handle < 0 ||
-          static_cast<std::size_t>(handle) >= lex->entries_.size()) {
-        return r->Corrupt("trie handle out of entry range");
-      }
-      lex->trie_.Insert(keyword, handle);
+  // The tagger indexes entries_ with every handle a trie walk returns.
+  for (std::int32_t handle : lex->flat_trie_.handles_) {
+    if (static_cast<std::uint32_t>(handle) >= lex->entries_.size()) {
+      return r->Corrupt("trie handle out of entry range");
     }
   }
+
+  lex->schema_ = &table->schema();
   *out = std::move(lex);
   return Status::OK();
 }

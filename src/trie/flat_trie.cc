@@ -1,27 +1,33 @@
 #include "trie/flat_trie.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace cqads::trie {
 
-FlatTrie FlatTrie::Compile(const KeywordTrie& source) {
-  // Enumerate (keyword, handle) pairs through the public API: lexicographic
-  // keyword order with handles in insertion order — exactly the layout the
-  // sorted-key build below wants, and no friend access into the node tree.
-  auto pairs = source.Completions(source.Root(), "",
-                                  std::numeric_limits<std::size_t>::max());
+FlatTrie FlatTrie::Build(
+    std::vector<std::pair<std::string, std::int32_t>> pairs) {
+  // Order keywords by comparing bytes as `char` — lexicographical_compare
+  // over std::string's chars, not std::string::operator<, which compares
+  // as unsigned char. Step binary-searches edge labels as `char`, so on a
+  // signed-char target a keyword with a byte >= 0x80 must sort before
+  // ASCII at the same position. The stable sort keeps each keyword's
+  // handles in input order.
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const auto& a, const auto& b) {
+                     return std::lexicographical_compare(
+                         a.first.begin(), a.first.end(), b.first.begin(),
+                         b.first.end());
+                   });
   std::vector<BuildKey> keys;
   for (auto& [keyword, handle] : pairs) {
     if (keys.empty() || keys.back().keyword != keyword) {
-      keys.push_back(BuildKey{keyword, {}});
+      keys.push_back(BuildKey{std::move(keyword), {}});
     }
     keys.back().handles.push_back(handle);
   }
 
   FlatTrie trie;
   trie.keyword_count_ = keys.size();
-  trie.nodes_.reserve(source.node_count());
   trie.handles_.reserve(pairs.size());
   trie.BuildNode(keys, 0, keys.size(), 0);
   return trie;
@@ -86,7 +92,7 @@ FlatTrie::Cursor FlatTrie::Step(Cursor cursor, char c) const {
   const Edge* begin = edges_.data() + node.edge_begin;
   const Edge* end = begin + node.edge_count;
   // Binary-searched edge span; labels within a span are sorted (the build
-  // walks keys in lexicographic order).
+  // walks keys in `char` order).
   const Edge* it = std::lower_bound(
       begin, end, c, [](const Edge& e, char label) { return e.label < label; });
   if (it == end || it->label != c) return Cursor();
@@ -129,8 +135,8 @@ std::vector<std::pair<std::string, std::int32_t>> FlatTrie::Completions(
   if (!cursor.valid() || limit == 0) return out;
   std::string scratch(prefix);
 
-  // Iterative preorder mirroring KeywordTrie::CollectFrom: emit this node's
-  // handles, then descend edges in label order.
+  // Iterative preorder: emit this node's handles, then descend edges in
+  // label order.
   struct Frame {
     std::uint32_t node;
     std::uint16_t next_edge;

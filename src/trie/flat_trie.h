@@ -1,22 +1,21 @@
-// Flat, frozen compile of a KeywordTrie (§4.1.3). The pointer trie stays
-// the mutable build-side structure (and the differential-test oracle); at
-// snapshot time it is compiled into contiguous node/edge/handle arrays that
-// the tagger, segmenter, and spell corrector walk at serve time:
+// The domain keyword trie (§4.1.3-4.1.4) as frozen contiguous arrays. One
+// trie is built per ads domain; every node stands for one character, and
+// nodes whose root path spells a known keyword are terminal and carry
+// payload handles (indices into the lexicon's table of tag prototypes, per
+// Table 1). The tagger, segmenter, and spell corrector walk it at serve
+// time:
 //
 //   nodes_    one record per trie node, DFS preorder (root = 0), holding the
 //             node's edge span and handle span
 //   edges_    all outgoing edges, grouped per node, sorted by label — a Step
-//             is a binary search over the node's span instead of a std::map
-//             node chase
+//             is a binary search over the node's span
 //   handles_  payload handles of terminal nodes, flattened
 //
-// The API mirrors KeywordTrie exactly (Cursor/Step/Walk/IsTerminal/Handles/
-// HasChildren/Completions/LongestMatchLength/AllMatchLengths), and every
-// operation returns byte-identical results — the randomized differential
-// suite pins this over all eight datagen domains. What changes is the
-// constant factor: nodes are 16 bytes instead of a map-of-unique_ptrs each,
-// a walk touches a few contiguous cache lines, and the whole structure is
-// trivially shareable across threads (immutable after Compile).
+// Build() lays the arrays out straight from (keyword, handle) pairs; a
+// snapshot maps them back zero-copy. Nodes are 16 bytes, a walk touches a
+// few contiguous cache lines, and the whole structure is immutable and
+// shareable across threads. The pointer KeywordTrie in reference/ is the
+// test-only oracle every operation is checked against.
 #ifndef CQADS_TRIE_FLAT_TRIE_H_
 #define CQADS_TRIE_FLAT_TRIE_H_
 
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "common/pod_vec.h"
-#include "trie/keyword_trie.h"
 
 namespace cqads::snapshot {
 struct SerdeAccess;
@@ -35,8 +33,7 @@ struct SerdeAccess;
 
 namespace cqads::trie {
 
-/// Contiguous handle run of one terminal node (iterable, indexable —
-/// interface-compatible with the vector KeywordTrie::Handles returns).
+/// Contiguous handle run of one terminal node (iterable, indexable).
 struct HandleSpan {
   const std::int32_t* data = nullptr;
   std::size_t count = 0;
@@ -58,9 +55,12 @@ class FlatTrie {
   FlatTrie(const FlatTrie&) = delete;
   FlatTrie& operator=(const FlatTrie&) = delete;
 
-  /// Compiles the frozen form. The source trie is only read; the compiled
-  /// trie is independent of it afterwards.
-  static FlatTrie Compile(const KeywordTrie& source);
+  /// Builds the trie from (keyword, handle) pairs in any order: keywords
+  /// non-empty, each pair once (DomainLexicon::Build's pairs are). Each
+  /// keyword keeps its handles in input order. Keywords are ordered by
+  /// comparing bytes as `char`, the comparison Step's binary search uses.
+  static FlatTrie Build(
+      std::vector<std::pair<std::string, std::int32_t>> pairs);
 
   /// Walk state: a node index. A default cursor is invalid.
   class Cursor {
@@ -76,7 +76,7 @@ class FlatTrie {
     std::uint32_t node_ = kInvalidNode;
   };
 
-  /// Root cursor; invalid on a default-constructed (never compiled) trie,
+  /// Root cursor; invalid on a default-constructed (never built) trie,
   /// which makes every downstream operation a safe no-match instead of an
   /// out-of-bounds node access.
   Cursor Root() const {
@@ -92,12 +92,16 @@ class FlatTrie {
   /// Handles of `keyword` (empty span when absent) — the Find analogue.
   HandleSpan Find(std::string_view keyword) const;
 
-  /// Identical enumeration order to KeywordTrie::Completions (lexicographic
-  /// keywords, handles in insertion order).
+  /// All (full keyword, handle) completions reachable from `cursor`, given
+  /// the prefix that led to it, capped at `limit`: keywords in `char`
+  /// order, each keyword's handles in build order.
   std::vector<std::pair<std::string, std::int32_t>> Completions(
       Cursor cursor, std::string_view prefix, std::size_t limit) const;
 
+  /// Length of the longest keyword that starts at `s[from]`, or 0.
   std::size_t LongestMatchLength(std::string_view s, std::size_t from) const;
+  /// Lengths (ascending) of every keyword that is a prefix of `s` starting
+  /// at `from` (the segmenter's split points).
   std::vector<std::size_t> AllMatchLengths(std::string_view s,
                                            std::size_t from) const;
 
@@ -106,7 +110,8 @@ class FlatTrie {
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t edge_count() const { return edges_.size(); }
 
-  /// Exact array footprint (the §4.1.3 node-array-vs-pointer-tree claim).
+  /// Exact array footprint (parse_rank compares it with the reference
+  /// pointer tree's for the §4.1.3 footprint claim).
   std::size_t MemoryBytes() const {
     return nodes_.size() * sizeof(Node) + edges_.size() * sizeof(Edge) +
            handles_.size() * sizeof(std::int32_t);
@@ -121,10 +126,10 @@ class FlatTrie {
   struct Node {
     std::uint32_t edge_begin = 0;    ///< index into edges_
     std::uint32_t handle_begin = 0;  ///< index into handles_
-    /// > 0 iff terminal: KeywordTrie::Insert always records at least one
-    /// handle per keyword, so "terminal with zero handles" cannot occur in
-    /// a source trie. Full width — a narrower field would silently wrap a
-    /// pathological keyword with >64Ki handles into a non-terminal.
+    /// > 0 iff terminal: Build records at least one handle per keyword, so
+    /// "terminal with zero handles" cannot occur. Full width — a narrower
+    /// field would silently wrap a pathological keyword with >64Ki handles
+    /// into a non-terminal.
     std::uint32_t handle_count = 0;
     /// At most one edge per distinct byte value.
     std::uint16_t edge_count = 0;
@@ -146,7 +151,7 @@ class FlatTrie {
   std::uint32_t BuildNode(const std::vector<BuildKey>& keys, std::size_t lo,
                           std::size_t hi, std::size_t depth);
 
-  // PodVec: heap-owned when compiled in-process, zero-copy views into a
+  // PodVec: heap-owned when built in-process, zero-copy views into a
   // mapped snapshot when loaded from disk.
   common::PodVec<Node> nodes_;
   common::PodVec<Edge> edges_;

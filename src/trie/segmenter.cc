@@ -14,17 +14,13 @@ std::size_t DigitRunLength(std::string_view s, std::size_t from) {
   return i - from;
 }
 
-// One implementation for both trie representations: the search only needs
-// AllMatchLengths, which the flat compile reproduces verbatim.
-template <typename TrieT>
 struct SearchState {
-  const TrieT* trie;
+  const FlatTrie* trie;
   std::string_view word;
   std::vector<bool> dead;  // position known unsegmentable
 };
 
-template <typename TrieT>
-bool SearchFrom(SearchState<TrieT>* st, std::size_t pos,
+bool SearchFrom(SearchState* st, std::size_t pos,
                 std::vector<std::pair<std::size_t, std::size_t>>* spans) {
   if (pos == st->word.size()) return true;
   if (st->dead[pos]) return false;
@@ -46,11 +42,12 @@ bool SearchFrom(SearchState<TrieT>* st, std::size_t pos,
   return false;
 }
 
-template <typename TrieT>
-std::vector<std::string> SegmentWordImpl(const TrieT& trie,
-                                         std::string_view word) {
+}  // namespace
+
+std::vector<std::string> SegmentWord(const FlatTrie& trie,
+                                     std::string_view word) {
   if (word.size() < 2) return {};
-  SearchState<TrieT> st{&trie, word, std::vector<bool>(word.size(), false)};
+  SearchState st{&trie, word, std::vector<bool>(word.size(), false)};
   std::vector<std::pair<std::size_t, std::size_t>> spans;
   if (!SearchFrom(&st, 0, &spans)) return {};
   if (spans.size() < 2) return {};  // already a single keyword: no repair
@@ -58,18 +55,6 @@ std::vector<std::string> SegmentWordImpl(const TrieT& trie,
   out.reserve(spans.size());
   for (auto [pos, len] : spans) out.emplace_back(word.substr(pos, len));
   return out;
-}
-
-}  // namespace
-
-std::vector<std::string> SegmentWord(const KeywordTrie& trie,
-                                     std::string_view word) {
-  return SegmentWordImpl(trie, word);
-}
-
-std::vector<std::string> SegmentWord(const FlatTrie& trie,
-                                     std::string_view word) {
-  return SegmentWordImpl(trie, word);
 }
 
 }  // namespace cqads::trie

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "trie/flat_trie.h"
-#include "trie/keyword_trie.h"
 
 namespace cqads::trie {
 
@@ -20,10 +19,6 @@ namespace cqads::trie {
 /// trie keyword or a digit run. Returns an empty vector when no such
 /// decomposition exists (callers then treat the word as one unit and hand it
 /// to the spell corrector).
-std::vector<std::string> SegmentWord(const KeywordTrie& trie,
-                                     std::string_view word);
-
-/// Identical semantics over the frozen flat trie (the serve-time path).
 std::vector<std::string> SegmentWord(const FlatTrie& trie,
                                      std::string_view word);
 

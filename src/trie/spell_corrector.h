@@ -2,12 +2,6 @@
 // recognize is compared against alternative keywords reachable from the
 // deepest matched trie node using PHP-style similar_text; the alternative
 // with the highest similarity percentage replaces the misspelling.
-//
-// The corrector is generic over the trie representation: the mutable
-// pointer KeywordTrie (build side, differential oracle) and the frozen
-// FlatTrie (serve side) expose the same Cursor/Step/Completions API, so one
-// template serves both and the two instantiations return byte-identical
-// corrections.
 #ifndef CQADS_TRIE_SPELL_CORRECTOR_H_
 #define CQADS_TRIE_SPELL_CORRECTOR_H_
 
@@ -15,9 +9,7 @@
 #include <string>
 #include <string_view>
 
-#include "text/similar_text.h"
 #include "trie/flat_trie.h"
-#include "trie/keyword_trie.h"
 
 namespace cqads::trie {
 
@@ -27,7 +19,7 @@ struct Correction {
   double percent = 0.0;  ///< similar_text percentage against the input
 };
 
-/// Options shared by both instantiations.
+/// Correction thresholds (SpellCorrector::Options).
 struct SpellCorrectorOptions {
   /// Minimum similar_text percentage for a correction to be accepted.
   /// 70 accepts real typos (transpositions/omissions score 80+) while
@@ -38,14 +30,13 @@ struct SpellCorrectorOptions {
 };
 
 /// Corrects misspelled keywords against one domain trie.
-template <typename TrieT>
-class BasicSpellCorrector {
+class SpellCorrector {
  public:
   using Options = SpellCorrectorOptions;
 
-  explicit BasicSpellCorrector(const TrieT* trie)
-      : BasicSpellCorrector(trie, Options()) {}
-  BasicSpellCorrector(const TrieT* trie, Options options)
+  explicit SpellCorrector(const FlatTrie* trie)
+      : SpellCorrector(trie, Options()) {}
+  SpellCorrector(const FlatTrie* trie, Options options)
       : trie_(trie), options_(options) {}
 
   /// Attempts to correct `word` (lower-case). Returns nullopt when `word` is
@@ -55,58 +46,16 @@ class BasicSpellCorrector {
   /// (per the paper, "starting from the current node in the trie where W is
   /// encountered"); when that subtree offers nothing acceptable, the
   /// first-letter subtree is tried as a fallback.
-  std::optional<Correction> Correct(std::string_view word) const {
-    if (word.empty() || trie_->Contains(word)) return std::nullopt;
-
-    // Walk as deep as the trie agrees with the word.
-    typename TrieT::Cursor cursor = trie_->Root();
-    std::size_t depth = 0;
-    while (depth < word.size()) {
-      typename TrieT::Cursor next = trie_->Step(cursor, word[depth]);
-      if (!next.valid()) break;
-      cursor = next;
-      ++depth;
-    }
-
-    std::optional<Correction> best =
-        BestFrom(cursor, word.substr(0, depth), word);
-    if (best) return best;
-
-    // Fallback: alternatives sharing the first letter.
-    if (depth == 0) return std::nullopt;
-    typename TrieT::Cursor first = trie_->Step(trie_->Root(), word[0]);
-    return BestFrom(first, word.substr(0, 1), word);
-  }
+  std::optional<Correction> Correct(std::string_view word) const;
 
  private:
-  std::optional<Correction> BestFrom(typename TrieT::Cursor anchor,
+  std::optional<Correction> BestFrom(FlatTrie::Cursor anchor,
                                      std::string_view prefix,
-                                     std::string_view word) const {
-    if (!anchor.valid()) return std::nullopt;
-    auto candidates =
-        trie_->Completions(anchor, prefix, options_.max_candidates);
-    std::optional<Correction> best;
-    for (const auto& [keyword, handle] : candidates) {
-      (void)handle;
-      if (keyword == word) continue;
-      double pct = text::SimilarTextPercent(word, keyword);
-      if (pct < options_.min_percent) continue;
-      if (!best || pct > best->percent ||
-          (pct == best->percent && keyword < best->keyword)) {
-        best = Correction{keyword, pct};
-      }
-    }
-    return best;
-  }
+                                     std::string_view word) const;
 
-  const TrieT* trie_;
+  const FlatTrie* trie_;
   Options options_;
 };
-
-/// Build-side / oracle instantiation (the seed's public name).
-using SpellCorrector = BasicSpellCorrector<KeywordTrie>;
-/// Serve-side instantiation over the frozen flat trie.
-using FlatSpellCorrector = BasicSpellCorrector<FlatTrie>;
 
 }  // namespace cqads::trie
 

@@ -13,6 +13,7 @@
 
 #include "common/failpoint.h"
 #include "db/exec/delta_exec.h"
+#include "db/exec/planner.h"
 #include "serve/worker_pool.h"
 #include "test_fixtures.h"
 
@@ -67,16 +68,18 @@ TEST(DeadlineTest, EarlierPicksTheSoonerAndHandlesInfinite) {
 
 // ----------------------------------------------- delta-scan deadline
 
-/// ExecuteHybrid over MiniCar with one ingested row, through the seed
-/// executor, under `deadline`.
+/// ExecuteHybrid over MiniCar with one ingested row, through the query's
+/// compiled plan, under `deadline`.
 Result<db::QueryResult> RunDeltaUnion(const Deadline& deadline) {
   const db::Table table = testing::MiniCarTable();
   db::DeltaStore delta(table.schema(), table.num_rows());
   EXPECT_TRUE(delta.Insert(table.row(0)).ok());
   db::Query query;
   query.limit = table.num_rows() + 1;
-  return db::exec::ExecuteHybrid(table, delta, query,
-                                 db::exec::BaseRowSource{nullptr, deadline});
+  auto plan = db::exec::Planner(&table).Compile(query);
+  if (!plan.ok()) return plan.status();
+  return db::exec::ExecuteHybrid(table, delta, query, *plan.value(),
+                                 deadline);
 }
 
 TEST(DeltaScanDeadlineTest, DefaultDeadlineRunsToCompletion) {

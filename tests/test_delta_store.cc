@@ -13,6 +13,7 @@
 #include "core/answer_table.h"
 #include "core/cqads_engine.h"
 #include "db/exec/delta_exec.h"
+#include "db/exec/planner.h"
 #include "db/executor.h"
 #include "db/storage/delta_store.h"
 #include "test_fixtures.h"
@@ -96,8 +97,9 @@ TEST(DeltaStoreTest, MergedRecordsOrder) {
 
 // ------------------------------------------------- hybrid execution
 
-/// ExecuteHybrid over base∪delta must return, record-for-record, what the
-/// same query returns against a single table built from the merged rows.
+/// ExecuteHybrid over base∪delta, through each query's compiled plan, must
+/// return, record-for-record, what the same query returns against a single
+/// table built from the merged rows.
 TEST(HybridExecTest, MatchesMergedTableRecordForRecord) {
   db::Table base = testing::MiniCarTable();
   db::DeltaStore delta(base.schema(), base.num_rows());
@@ -146,9 +148,12 @@ TEST(HybridExecTest, MatchesMergedTableRecordForRecord) {
     queries.push_back(q);
   }
 
+  const db::exec::Planner planner(&base);
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    auto plan = planner.Compile(queries[qi]);
+    ASSERT_TRUE(plan.ok()) << plan.status();
     auto hybrid =
-        db::exec::ExecuteHybrid(base, delta, queries[qi], {});
+        db::exec::ExecuteHybrid(base, delta, queries[qi], *plan.value());
     auto expected = db::ExecuteQuery(merged, queries[qi]);
     ASSERT_TRUE(hybrid.ok() && expected.ok()) << "query " << qi;
     // Global hybrid ids and merged ids differ; compare materialized

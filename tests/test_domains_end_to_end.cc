@@ -42,7 +42,7 @@ TEST_P(DomainEndToEndTest, LexiconCoversAllCategoricalValues) {
     const db::HashIndex* idx = table->hash_index(a);
     if (idx == nullptr) continue;
     for (const auto& value : idx->Keys()) {
-      EXPECT_TRUE(rt->lexicon->trie().Contains(value))
+      EXPECT_TRUE(rt->lexicon->flat_trie().Contains(value))
           << domain << ": missing " << value;
     }
   }

@@ -1,36 +1,46 @@
-// FlatTrie vs KeywordTrie: the frozen flat compile must reproduce the
-// pointer trie's behaviour byte-for-byte — unit cases first, then a
+// FlatTrie against the reference pointer KeywordTrie: FlatTrie::Build must
+// answer every walk exactly as the insert-at-a-time oracle does. Unit cases
+// first, then the byte order Build must keep for non-ASCII keywords, then a
 // randomized differential over the lexicon tries of all eight datagen
 // domains (Step/Walk/IsTerminal/Handles/Completions order/LongestMatch/
-// AllMatchLengths), plus the segmenter and spell corrector running on both
-// representations.
+// AllMatchLengths: everything the segmenter and spell corrector read).
 #include "trie/flat_trie.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/domain_lexicon.h"
 #include "datagen/domain_spec.h"
 #include "datagen/world.h"
-#include "trie/keyword_trie.h"
-#include "trie/segmenter.h"
-#include "trie/spell_corrector.h"
+#include "reference/keyword_trie.h"
+#include "snapshot/serde.h"
+#include "test_fixtures.h"
 
 namespace cqads::trie {
 namespace {
 
-KeywordTrie MakeCarTrie() {
+using Pairs = std::vector<std::pair<std::string, std::int32_t>>;
+using reference::KeywordTrie;
+
+const Pairs& CarPairs() {
+  static const Pairs pairs = {
+      {"honda", 1}, {"honda shadow", 2}, {"accord", 3}, {"less than", 4},
+      {"blue", 5},  {"2 door", 6},       {"gold", 7},
+      {"gold", 8},  // second handle, input order must survive
+  };
+  return pairs;
+}
+
+/// The oracle: the same pairs inserted one at a time.
+KeywordTrie OracleOf(const Pairs& pairs) {
   KeywordTrie t;
-  t.Insert("honda", 1);
-  t.Insert("honda shadow", 2);
-  t.Insert("accord", 3);
-  t.Insert("less than", 4);
-  t.Insert("blue", 5);
-  t.Insert("2 door", 6);
-  t.Insert("gold", 7);
-  t.Insert("gold", 8);  // second handle, insertion order must survive
+  for (const auto& [keyword, handle] : pairs) t.Insert(keyword, handle);
   return t;
 }
 
@@ -47,8 +57,7 @@ TEST(FlatTrieTest, DefaultConstructedIsSafeNoMatch) {
 }
 
 TEST(FlatTrieTest, EmptyTrie) {
-  KeywordTrie empty;
-  FlatTrie flat = FlatTrie::Compile(empty);
+  FlatTrie flat = FlatTrie::Build({});
   EXPECT_TRUE(flat.empty());
   EXPECT_EQ(flat.size(), 0u);
   EXPECT_EQ(flat.node_count(), 1u);  // root
@@ -59,8 +68,8 @@ TEST(FlatTrieTest, EmptyTrie) {
 }
 
 TEST(FlatTrieTest, BasicLookupsMatchSource) {
-  KeywordTrie t = MakeCarTrie();
-  FlatTrie flat = FlatTrie::Compile(t);
+  KeywordTrie t = OracleOf(CarPairs());
+  FlatTrie flat = FlatTrie::Build(CarPairs());
   EXPECT_EQ(flat.size(), t.size());
   EXPECT_EQ(flat.node_count(), t.node_count());
   EXPECT_TRUE(flat.Contains("honda"));
@@ -69,14 +78,14 @@ TEST(FlatTrieTest, BasicLookupsMatchSource) {
   EXPECT_FALSE(flat.Contains("hondas"));
   auto handles = flat.Find("gold");
   ASSERT_EQ(handles.size(), 2u);
-  EXPECT_EQ(handles[0], 7);  // insertion order preserved
+  EXPECT_EQ(handles[0], 7);  // input order preserved
   EXPECT_EQ(handles[1], 8);
   EXPECT_TRUE(flat.Find("missing").empty());
 }
 
 TEST(FlatTrieTest, CursorWalkMatchesSource) {
-  KeywordTrie t = MakeCarTrie();
-  FlatTrie flat = FlatTrie::Compile(t);
+  KeywordTrie t = OracleOf(CarPairs());
+  FlatTrie flat = FlatTrie::Build(CarPairs());
   auto c = flat.Walk(flat.Root(), "honda");
   ASSERT_TRUE(c.valid());
   EXPECT_TRUE(flat.IsTerminal(c));
@@ -91,8 +100,8 @@ TEST(FlatTrieTest, CursorWalkMatchesSource) {
 }
 
 TEST(FlatTrieTest, CompletionsOrderAndLimit) {
-  KeywordTrie t = MakeCarTrie();
-  FlatTrie flat = FlatTrie::Compile(t);
+  KeywordTrie t = OracleOf(CarPairs());
+  FlatTrie flat = FlatTrie::Build(CarPairs());
   auto full = t.Completions(t.Root(), "", 100);
   auto flat_full = flat.Completions(flat.Root(), "", 100);
   ASSERT_EQ(full, flat_full);
@@ -109,12 +118,84 @@ TEST(FlatTrieTest, CompletionsOrderAndLimit) {
 }
 
 TEST(FlatTrieTest, MatchLengths) {
-  KeywordTrie t = MakeCarTrie();
-  FlatTrie flat = FlatTrie::Compile(t);
+  KeywordTrie t = OracleOf(CarPairs());
+  FlatTrie flat = FlatTrie::Build(CarPairs());
   const std::string s = "honda shadow rider";
   for (std::size_t from = 0; from <= s.size(); ++from) {
     EXPECT_EQ(t.LongestMatchLength(s, from), flat.LongestMatchLength(s, from));
     EXPECT_EQ(t.AllMatchLengths(s, from), flat.AllMatchLengths(s, from));
+  }
+}
+
+// ---- byte order ------------------------------------------------------------
+
+/// Every keyword of `pairs` is found with the oracle's handles, and the full
+/// enumeration equals the oracle's.
+void ExpectMatchesOracle(const FlatTrie& flat, const KeywordTrie& oracle,
+                         const Pairs& pairs, const std::string& label) {
+  for (const auto& [keyword, handle] : pairs) {
+    (void)handle;
+    EXPECT_TRUE(flat.Contains(keyword)) << label << " " << keyword;
+    const auto found = flat.Find(keyword);
+    const std::vector<std::int32_t>* want = oracle.Find(keyword);
+    ASSERT_NE(want, nullptr) << keyword;
+    EXPECT_EQ(std::vector<std::int32_t>(found.begin(), found.end()), *want)
+        << label << " " << keyword;
+  }
+  EXPECT_EQ(oracle.Completions(oracle.Root(), "", 1000),
+            flat.Completions(flat.Root(), "", 1000))
+      << label;
+}
+
+TEST(FlatTrieTest, NonAsciiKeywordsFollowStepByteOrder) {
+  // Step binary-searches edge labels as `char`. "citroen" and "citroën"
+  // (0xC3 0xAB) part at one node, and a byte >= 0x80 sorts before 'e' as
+  // a signed char but after it as unsigned (std::string::operator<);
+  // "\xC3\xA9lan" does the same at the root.
+  Pairs pairs = {{"citroen", 0},  {"citro\xC3\xABn", 1}, {"citrus", 2},
+                 {"\xC3\xA9lan", 3}, {"zeta", 4},          {"citroen", 5},
+                 {"c", 6}};
+  std::mt19937 rng(20111130);
+  for (int round = 0; round < 8; ++round) {
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    const std::string label = "round " + std::to_string(round);
+    const KeywordTrie oracle = OracleOf(pairs);
+    const FlatTrie flat = FlatTrie::Build(pairs);
+    ExpectMatchesOracle(flat, oracle, pairs, label);
+
+    // The same arrays after a snapshot round trip.
+    snapshot::ByteWriter w;
+    snapshot::SerdeAccess::WriteFlatTrie(flat, &w);
+    snapshot::ByteReader r(w.buffer().data(), w.size(), "flattrie");
+    FlatTrie loaded;
+    ASSERT_TRUE(
+        snapshot::SerdeAccess::ReadFlatTrie(&r, nullptr, &loaded).ok());
+    ExpectMatchesOracle(loaded, oracle, pairs, label + " reloaded");
+  }
+}
+
+TEST(FlatTrieTest, LexiconKeepsNonAsciiValues) {
+  // A make column holding both spellings, as a compaction after ingesting
+  // a "citroën" ad would leave it.
+  const db::Table mini = cqads::testing::MiniCarTable();
+  db::Table table(mini.schema());
+  for (db::RowId row = 0; row < mini.num_rows(); ++row) {
+    ASSERT_TRUE(table.Insert(mini.row(row)).ok());
+  }
+  for (const char* make : {"citroen", "citro\xC3\xABn"}) {
+    db::Record record = mini.row(0);
+    record[0] = db::Value::Text(make);
+    ASSERT_TRUE(table.Insert(std::move(record)).ok());
+  }
+  table.BuildIndexes();
+  auto lexicon = core::DomainLexicon::Build(&table);
+  ASSERT_TRUE(lexicon.ok()) << lexicon.status();
+  const FlatTrie& flat = lexicon.value().flat_trie();
+  for (const std::string make : {"citroen", "citro\xC3\xABn", "honda"}) {
+    EXPECT_TRUE(flat.Contains(make)) << make;
+    const auto handles = flat.Find(make);
+    ASSERT_EQ(handles.size(), 1u) << make;
+    EXPECT_EQ(lexicon.value().entry(handles[0]).value, make);
   }
 }
 
@@ -154,8 +235,15 @@ std::vector<std::string> Keywords(const KeywordTrie& t) {
 TEST_P(FlatTrieDomainTest, RandomizedDifferential) {
   const auto* rt = world_->engine().runtime(GetParam());
   ASSERT_NE(rt, nullptr);
-  const KeywordTrie& oracle = rt->lexicon->trie();
-  const FlatTrie& flat = rt->lexicon->flat_trie();
+  const core::DomainLexicon& lexicon = *rt->lexicon;
+  const FlatTrie& flat = lexicon.flat_trie();
+  // The oracle comes from the lexicon's entries, not from the trie under
+  // test: every handle h was inserted under keyword entry(h).value.
+  KeywordTrie oracle;
+  for (std::size_t h = 0; h < lexicon.entry_count(); ++h) {
+    const auto handle = static_cast<std::int32_t>(h);
+    oracle.Insert(lexicon.entry(handle).value, handle);
+  }
 
   EXPECT_EQ(flat.size(), oracle.size());
   EXPECT_EQ(flat.node_count(), oracle.node_count());
@@ -238,27 +326,9 @@ TEST_P(FlatTrieDomainTest, RandomizedDifferential) {
         oracle.Completions(oracle.Walk(oracle.Root(), prefix), prefix, limit),
         flat.Completions(flat.Walk(flat.Root(), prefix), prefix, limit))
         << prefix;
-
-    // Segmenter and spell corrector must agree through either trie.
-    EXPECT_EQ(SegmentWord(oracle, p), SegmentWord(flat, p)) << p;
   }
 
-  // Spell corrector differential on mutated keywords.
-  SpellCorrector oracle_corr(&oracle);
-  FlatSpellCorrector flat_corr(&flat);
-  for (int i = 0; i < 150; ++i) {
-    std::string w = keywords[rand_index(keywords.size())];
-    if (!w.empty()) w[rand_index(w.size())] = static_cast<char>('a' + rng() % 26);
-    auto a = oracle_corr.Correct(w);
-    auto b = flat_corr.Correct(w);
-    ASSERT_EQ(a.has_value(), b.has_value()) << w;
-    if (a.has_value()) {
-      EXPECT_EQ(a->keyword, b->keyword) << w;
-      EXPECT_EQ(a->percent, b->percent) << w;
-    }
-  }
-
-  // The flat compile should be materially smaller than the pointer tree.
+  // The flat arrays should be materially smaller than the pointer tree.
   EXPECT_LT(flat.MemoryBytes(), oracle.ApproxMemoryBytes());
 }
 

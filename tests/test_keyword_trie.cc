@@ -1,8 +1,8 @@
-#include "trie/keyword_trie.h"
+#include "reference/keyword_trie.h"
 
 #include <gtest/gtest.h>
 
-namespace cqads::trie {
+namespace cqads::reference {
 namespace {
 
 KeywordTrie MakeCarTrie() {
@@ -146,4 +146,4 @@ TEST(KeywordTrieTest, MoveSemantics) {
 }
 
 }  // namespace
-}  // namespace cqads::trie
+}  // namespace cqads::reference

@@ -26,42 +26,42 @@ TEST_F(LexiconTest, BuildRequiresIndexes) {
 }
 
 TEST_F(LexiconTest, ValuesInsertedWithTypes) {
-  const auto* handles = lexicon_->trie().Find("honda");
-  ASSERT_NE(handles, nullptr);
-  const TaggedItem& item = lexicon_->entry((*handles)[0]);
+  const auto handles = lexicon_->flat_trie().Find("honda");
+  ASSERT_FALSE(handles.empty());
+  const TaggedItem& item = lexicon_->entry(handles[0]);
   EXPECT_EQ(item.kind, TagKind::kTypeIValue);
   EXPECT_EQ(item.attr, 0u);
   EXPECT_EQ(item.value, "honda");
 
-  const auto* blue = lexicon_->trie().Find("blue");
-  ASSERT_NE(blue, nullptr);
-  EXPECT_EQ(lexicon_->entry((*blue)[0]).kind, TagKind::kTypeIIValue);
+  const auto blue = lexicon_->flat_trie().Find("blue");
+  ASSERT_FALSE(blue.empty());
+  EXPECT_EQ(lexicon_->entry(blue[0]).kind, TagKind::kTypeIIValue);
 }
 
 TEST_F(LexiconTest, OperatorPhrasesInserted) {
-  EXPECT_TRUE(lexicon_->trie().Contains("less than"));
-  EXPECT_TRUE(lexicon_->trie().Contains("between"));
-  EXPECT_TRUE(lexicon_->trie().Contains("cheapest"));
-  EXPECT_TRUE(lexicon_->trie().Contains("not"));
+  EXPECT_TRUE(lexicon_->flat_trie().Contains("less than"));
+  EXPECT_TRUE(lexicon_->flat_trie().Contains("between"));
+  EXPECT_TRUE(lexicon_->flat_trie().Contains("cheapest"));
+  EXPECT_TRUE(lexicon_->flat_trie().Contains("not"));
 }
 
 TEST_F(LexiconTest, AttributeAliasesAndUnitsInserted) {
-  const auto* price = lexicon_->trie().Find("price");
-  ASSERT_NE(price, nullptr);
-  EXPECT_EQ(lexicon_->entry((*price)[0]).kind, TagKind::kTypeIIIAttr);
+  const auto price = lexicon_->flat_trie().Find("price");
+  ASSERT_FALSE(price.empty());
+  EXPECT_EQ(lexicon_->entry(price[0]).kind, TagKind::kTypeIIIAttr);
 
-  const auto* miles = lexicon_->trie().Find("miles");
-  ASSERT_NE(miles, nullptr);
-  const TaggedItem& item = lexicon_->entry((*miles)[0]);
+  const auto miles = lexicon_->flat_trie().Find("miles");
+  ASSERT_FALSE(miles.empty());
+  const TaggedItem& item = lexicon_->entry(miles[0]);
   EXPECT_EQ(item.kind, TagKind::kUnit);
   EXPECT_EQ(item.attr, 4u);  // mileage
 }
 
 TEST_F(LexiconTest, RulesForAbsentAliasesSkipped) {
   // The car schema has no "salary": the salary superlative must be absent.
-  EXPECT_FALSE(lexicon_->trie().Contains("highest paying"));
+  EXPECT_FALSE(lexicon_->flat_trie().Contains("highest paying"));
   // But price/year superlatives are present.
-  EXPECT_TRUE(lexicon_->trie().Contains("newest"));
+  EXPECT_TRUE(lexicon_->flat_trie().Contains("newest"));
 }
 
 TEST_F(LexiconTest, PhraseMatchLongest) {

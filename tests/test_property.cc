@@ -305,8 +305,9 @@ TEST(SimilarityPropertyTest, RankSimBoundedByUnitCount) {
   unit.conds = {c};
   std::vector<core::MatchUnit> units = {unit};
 
+  core::SimScorer scorer(table.schema(), units, ctx);
   for (db::RowId r = 0; r < table.num_rows(); ++r) {
-    auto score = core::ScorePartialMatch(table, r, units, 0, ctx);
+    auto score = scorer.Score(table, r, 0);
     EXPECT_GE(score.unit_sim, 0.0);
     EXPECT_LE(score.unit_sim, 1.0);
     EXPECT_GE(score.rank_sim, 0.0);

@@ -41,6 +41,20 @@ TEST(ComputeAttrRangesTest, TopBottomTenAverages) {
   EXPECT_LT(ranges[3], 42000.0 - 5500.0 + 1.0);
 }
 
+/// Eq. 5 for one table row through SimScorer, the serving path's scorer.
+PartialScore Score(const db::Table& table, db::RowId row,
+                   const std::vector<MatchUnit>& units, std::size_t dropped,
+                   const SimilarityContext& ctx) {
+  SimScorer scorer(table.schema(), units, ctx);
+  return scorer.Score(table, row, dropped);
+}
+
+/// The similarity term of one unit alone.
+double UnitSim(const db::Table& table, db::RowId row, const MatchUnit& unit,
+               const SimilarityContext& ctx) {
+  return Score(table, row, {unit}, 0, ctx).unit_sim;
+}
+
 class RankSimTest : public ::testing::Test {
  protected:
   RankSimTest() : table_(cqads::testing::MiniCarTable()) {
@@ -117,14 +131,14 @@ class RankSimTest : public ::testing::Test {
 
 TEST_F(RankSimTest, IdentityExactMatchScoresOne) {
   auto unit = IdentityUnit("honda", "accord");
-  EXPECT_DOUBLE_EQ(UnitSimilarity(table_, 0, unit, ctx_), 1.0);
+  EXPECT_DOUBLE_EQ(UnitSim(table_, 0, unit, ctx_), 1.0);
 }
 
 TEST_F(RankSimTest, SameSegmentBeatsCrossSegment) {
   auto unit = IdentityUnit("honda", "accord");
   // Row 5 = toyota camry (same latent segment), row 9 = bmw m3.
-  double camry = UnitSimilarity(table_, 5, unit, ctx_);
-  double bmw = UnitSimilarity(table_, 9, unit, ctx_);
+  double camry = UnitSim(table_, 5, unit, ctx_);
+  double bmw = UnitSim(table_, 9, unit, ctx_);
   EXPECT_GT(camry, bmw);
   EXPECT_GT(camry, 0.0);
 }
@@ -133,8 +147,8 @@ TEST_F(RankSimTest, FeatSimRelatedColorBeatsUnrelated) {
   auto unit = ColorUnit("blue");
   // Row 2 is gold; rows 0/1 are blue (exact). Navy would be related, but
   // the fixture has none; check blue > gold at least via corpus structure:
-  double gold = UnitSimilarity(table_, 2, unit, ctx_);
-  double blue = UnitSimilarity(table_, 0, unit, ctx_);
+  double gold = UnitSim(table_, 2, unit, ctx_);
+  double blue = UnitSim(table_, 0, unit, ctx_);
   EXPECT_DOUBLE_EQ(blue, 1.0);
   EXPECT_LT(gold, 1.0);
 }
@@ -142,15 +156,15 @@ TEST_F(RankSimTest, FeatSimRelatedColorBeatsUnrelated) {
 TEST_F(RankSimTest, NumSimCloserPriceScoresHigher) {
   auto unit = PriceUnit(db::CompareOp::kLt, 15000);
   // accord at 16536 (row 1) vs bmw at 42000 (row 9).
-  double near = UnitSimilarity(table_, 1, unit, ctx_);
-  double far = UnitSimilarity(table_, 9, unit, ctx_);
+  double near = UnitSim(table_, 1, unit, ctx_);
+  double far = UnitSim(table_, 9, unit, ctx_);
   EXPECT_GT(near, far);
 }
 
 TEST_F(RankSimTest, BetweenUsesMidpoint) {
   auto unit = PriceUnit(db::CompareOp::kBetween, 8000, 10000);
   // Midpoint 9000: row 0 (8900) nearly exact.
-  EXPECT_GT(UnitSimilarity(table_, 0, unit, ctx_), 0.95);
+  EXPECT_GT(UnitSim(table_, 0, unit, ctx_), 0.95);
 }
 
 TEST_F(RankSimTest, ScoreAddsNMinusOne) {
@@ -158,7 +172,7 @@ TEST_F(RankSimTest, ScoreAddsNMinusOne) {
                                   ColorUnit("blue"),
                                   PriceUnit(db::CompareOp::kLt, 15000)};
   // Row 5 (camry, blue, 8561): fails only the identity unit.
-  auto score = ScorePartialMatch(table_, 5, units, 0, ctx_);
+  auto score = Score(table_, 5, units, 0, ctx_);
   EXPECT_GE(score.rank_sim, 2.0);
   EXPECT_LE(score.rank_sim, 3.0);
   EXPECT_EQ(score.measure, "TI_Sim on Make and Model");
@@ -168,9 +182,9 @@ TEST_F(RankSimTest, MeasureLabels) {
   std::vector<MatchUnit> units = {IdentityUnit("honda", "accord"),
                                   ColorUnit("blue"),
                                   PriceUnit(db::CompareOp::kLt, 15000)};
-  EXPECT_EQ(ScorePartialMatch(table_, 1, units, 1, ctx_).measure,
+  EXPECT_EQ(Score(table_, 1, units, 1, ctx_).measure,
             "Feat_Sim on Color");
-  EXPECT_EQ(ScorePartialMatch(table_, 1, units, 2, ctx_).measure,
+  EXPECT_EQ(Score(table_, 1, units, 2, ctx_).measure,
             "Num_Sim on Price");
 }
 
@@ -181,8 +195,8 @@ TEST_F(RankSimTest, Table2OrderingShape) {
   std::vector<MatchUnit> units = {IdentityUnit("honda", "accord"),
                                   ColorUnit("blue"),
                                   PriceUnit(db::CompareOp::kLt, 15000)};
-  auto malibu = ScorePartialMatch(table_, 4, units, 0, ctx_);  // chevy malibu blue
-  auto camry = ScorePartialMatch(table_, 5, units, 0, ctx_);   // toyota camry blue
+  auto malibu = Score(table_, 4, units, 0, ctx_);  // chevy malibu blue
+  auto camry = Score(table_, 5, units, 0, ctx_);   // toyota camry blue
   EXPECT_GT(malibu.rank_sim, 2.0);
   EXPECT_GT(camry.rank_sim, 2.0);
   EXPECT_EQ(malibu.measure, "TI_Sim on Make and Model");
@@ -192,10 +206,10 @@ TEST_F(RankSimTest, NullContextsDegradeGracefully) {
   SimilarityContext empty;
   empty.attr_ranges = ComputeAttrRanges(table_);
   auto unit = IdentityUnit("honda", "accord");
-  EXPECT_DOUBLE_EQ(UnitSimilarity(table_, 5, unit, empty), 0.0);
+  EXPECT_DOUBLE_EQ(UnitSim(table_, 5, unit, empty), 0.0);
   // Num_Sim still works without matrices.
   auto price_unit = PriceUnit(db::CompareOp::kLt, 15000);
-  EXPECT_GT(UnitSimilarity(table_, 1, price_unit, empty), 0.0);
+  EXPECT_GT(UnitSim(table_, 1, price_unit, empty), 0.0);
 }
 
 // ------------------------------------- ScoreBlock numeric edge cases

@@ -16,6 +16,7 @@
 #include "datagen/world.h"
 #include "db/table.h"
 #include "eval/experiments.h"
+#include "reference/keyword_trie.h"
 #include "snapshot/io.h"
 #include "snapshot/serde.h"
 #include "snapshot/snapshot_file.h"
@@ -23,7 +24,6 @@
 #include "test_fixtures.h"
 #include "text/term_dict.h"
 #include "trie/flat_trie.h"
-#include "trie/keyword_trie.h"
 #include "wordsim/ws_matrix.h"
 
 namespace cqads {
@@ -191,12 +191,12 @@ TEST(SerdeRoundTrip, TermDict) {
 }
 
 TEST(SerdeRoundTrip, FlatTrie) {
-  trie::KeywordTrie source;
   const std::vector<std::pair<std::string, std::int32_t>> kws = {
       {"honda", 1}, {"honda", 7}, {"hondo", 2}, {"accord", 3},
       {"accordion", 4}, {"a", 5}, {"power steering", 6}};
-  for (const auto& [kw, h] : kws) source.Insert(kw, h);
-  trie::FlatTrie built = trie::FlatTrie::Compile(source);
+  reference::KeywordTrie oracle;
+  for (const auto& [kw, h] : kws) oracle.Insert(kw, h);
+  trie::FlatTrie built = trie::FlatTrie::Build(kws);
 
   ByteWriter w;
   SerdeAccess::WriteFlatTrie(built, &w);
@@ -217,7 +217,7 @@ TEST(SerdeRoundTrip, FlatTrie) {
   }
   EXPECT_FALSE(loaded.Contains("hond"));
   EXPECT_EQ(loaded.Completions(loaded.Root(), "", SIZE_MAX),
-            built.Completions(built.Root(), "", SIZE_MAX));
+            oracle.Completions(oracle.Root(), "", SIZE_MAX));
   EXPECT_EQ(loaded.AllMatchLengths("accordion player", 0),
             built.AllMatchLengths("accordion player", 0));
 }

@@ -1,8 +1,11 @@
 // Corruption robustness: a damaged snapshot must always fail OpenSnapshot
 // with a clear Status — truncation, flipped bytes, byte-swapped magic,
-// version skew, missing sections, and a fuzz-ish sweep of pseudo-random
-// damage. Never UB, never a crash: these tests also run under ASan/UBSan
-// in CI, where any out-of-bounds parse would abort the process.
+// version skew, missing sections, a fuzz-ish sweep of pseudo-random
+// damage, and checksum-passing but hostile trie structure (a cycle, a
+// shared subtree, a handle past the lexicon's entries). Never UB, never a
+// crash: these tests also run under ASan/UBSan in CI, where any
+// out-of-bounds parse would abort the process.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -13,11 +16,13 @@
 #include <gtest/gtest.h>
 
 #include "core/cqads_engine.h"
+#include "core/domain_lexicon.h"
 #include "db/table.h"
 #include "snapshot/serde.h"
 #include "snapshot/snapshot_file.h"
 #include "snapshot/xxhash64.h"
 #include "test_fixtures.h"
+#include "trie/flat_trie.h"
 
 namespace cqads {
 namespace {
@@ -290,6 +295,87 @@ TEST_F(CorruptionTest, EngineOpenSnapshotSurfacesDataLoss) {
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
+}
+
+// ----------------------------------------------- hostile trie structure
+
+/// One edge record as WriteFlatTrie lays it out: u32 target, the label,
+/// three zero pad bytes.
+std::vector<unsigned char> EdgeBytes(std::uint32_t target, char label) {
+  std::vector<unsigned char> out(8, 0);
+  std::memcpy(out.data(), &target, sizeof(target));
+  out[4] = static_cast<unsigned char>(label);
+  return out;
+}
+
+/// Rewrites the one edge record `from` in `bytes` to `to`.
+void PatchEdge(std::vector<unsigned char>* bytes,
+               const std::vector<unsigned char>& from,
+               const std::vector<unsigned char>& to) {
+  auto it = std::search(bytes->begin(), bytes->end(), from.begin(), from.end());
+  ASSERT_NE(it, bytes->end());
+  ASSERT_EQ(std::search(it + 1, bytes->end(), from.begin(), from.end()),
+            bytes->end());
+  std::copy(to.begin(), to.end(), it);
+}
+
+Status ReadTrie(const std::vector<unsigned char>& bytes) {
+  snapshot::ByteReader r(bytes.data(), bytes.size(), "flattrie");
+  trie::FlatTrie out;
+  return SerdeAccess::ReadFlatTrie(&r, nullptr, &out);
+}
+
+TEST(HostileTrieTest, EdgesThatDoNotFormATreeFailReadFlatTrie) {
+  // {"a", "ab"}: root -a-> node 1 ("a") -b-> node 2 ("ab").
+  ByteWriter w;
+  SerdeAccess::WriteFlatTrie(trie::FlatTrie::Build({{"a", 0}, {"ab", 1}}),
+                             &w);
+  const std::vector<unsigned char> good = w.buffer();
+  ASSERT_TRUE(ReadTrie(good).ok());
+
+  // The "b" edge pointed back at its own node: a cycle that would make
+  // Contains("abbb...") true and Completions endless.
+  std::vector<unsigned char> self_loop = good;
+  PatchEdge(&self_loop, EdgeBytes(2, 'b'), EdgeBytes(1, 'b'));
+  EXPECT_EQ(ReadTrie(self_loop).code(), StatusCode::kDataLoss);
+
+  // The root's "a" edge pointed at node 2: node 2 gets two parents and
+  // node 1 none.
+  std::vector<unsigned char> shared = good;
+  PatchEdge(&shared, EdgeBytes(1, 'a'), EdgeBytes(2, 'a'));
+  EXPECT_EQ(ReadTrie(shared).code(), StatusCode::kDataLoss);
+}
+
+TEST(HostileTrieTest, HandlePastTheEntriesFailsReadLexicon) {
+  const db::Table table = testing::MiniCarTable();
+  auto built = core::DomainLexicon::Build(&table);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const core::DomainLexicon& lexicon = built.value();
+  ByteWriter full;
+  SerdeAccess::WriteLexicon(lexicon, &full);
+
+  // A lexicon stream opens with its term dict and trie, and the trie's
+  // handle array comes last: its final element ends that prefix.
+  ByteWriter prefix;
+  SerdeAccess::WriteTermDict(lexicon.terms(), &prefix);
+  SerdeAccess::WriteFlatTrie(lexicon.flat_trie(), &prefix);
+  ASSERT_TRUE(std::equal(prefix.buffer().begin(), prefix.buffer().end(),
+                         full.buffer().begin()));
+  const std::size_t last_handle = prefix.size() - sizeof(std::int32_t);
+
+  auto read = [&](const std::vector<unsigned char>& bytes) {
+    snapshot::ByteReader r(bytes.data(), bytes.size(), "lexicon");
+    std::shared_ptr<const core::DomainLexicon> out;
+    return SerdeAccess::ReadLexicon(&r, nullptr, &table, &out);
+  };
+  ASSERT_TRUE(read(full.buffer()).ok());
+  for (const std::int32_t bad :
+       {static_cast<std::int32_t>(lexicon.entry_count()), std::int32_t{-1}}) {
+    std::vector<unsigned char> bytes = full.buffer();
+    std::memcpy(bytes.data() + last_handle, &bad, sizeof(bad));
+    const Status st = read(bytes);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << bad << ": " << st.ToString();
+  }
 }
 
 }  // namespace

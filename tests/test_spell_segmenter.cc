@@ -1,21 +1,30 @@
 #include <gtest/gtest.h>
 
-#include "trie/keyword_trie.h"
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "trie/flat_trie.h"
 #include "trie/segmenter.h"
 #include "trie/spell_corrector.h"
 
 namespace cqads::trie {
 namespace {
 
-KeywordTrie MakeTrie() {
-  KeywordTrie t;
-  int h = 0;
-  for (const char* kw :
-       {"honda", "accord", "civic", "camry", "corolla", "toyota", "mazda",
-        "blue", "red", "automatic", "manual", "door", "less than"}) {
-    t.Insert(kw, h++);
+/// A trie over `keywords`, handle i for the i-th.
+FlatTrie TrieOf(const std::vector<std::string>& keywords) {
+  std::vector<std::pair<std::string, std::int32_t>> pairs;
+  for (const std::string& kw : keywords) {
+    pairs.emplace_back(kw, static_cast<std::int32_t>(pairs.size()));
   }
-  return t;
+  return FlatTrie::Build(std::move(pairs));
+}
+
+FlatTrie MakeTrie() {
+  return TrieOf({"honda", "accord", "civic", "camry", "corolla", "toyota",
+                 "mazda", "blue", "red", "automatic", "manual", "door",
+                 "less than"});
 }
 
 // ---------------------------------------------------------------- spelling
@@ -74,9 +83,7 @@ TEST(SpellCorrectorTest, FirstLetterFallback) {
 }
 
 TEST(SpellCorrectorTest, DeterministicTieBreak) {
-  KeywordTrie t;
-  t.Insert("aab", 0);
-  t.Insert("aac", 1);
+  FlatTrie t = TrieOf({"aab", "aac"});
   // "aaz" scores 67% against both; lower the bar to observe tie-breaking.
   SpellCorrector corrector(&t, SpellCorrector::Options{60.0, 512});
   auto c1 = corrector.Correct("aaz");
@@ -125,11 +132,7 @@ TEST(SegmenterTest, ShortInputsFail) {
 }
 
 TEST(SegmenterTest, BacktracksFromGreedyDeadEnd) {
-  KeywordTrie t;
-  t.Insert("carpet", 0);
-  t.Insert("car", 1);
-  t.Insert("pets", 2);
-  t.Insert("pet", 3);
+  FlatTrie t = TrieOf({"carpet", "car", "pets", "pet"});
   // Greedy "carpet" leaves "s" unparseable; backtracking finds car+pets.
   EXPECT_EQ(SegmentWord(t, "carpets"),
             (std::vector<std::string>{"car", "pets"}));

@@ -1,7 +1,8 @@
 // The interned-term substrate: TermDict semantics, id-vs-string equivalence
-// of the WS and TI similarity matrices, and SimScorer-vs-seed Eq. 5
-// scoring across all eight datagen domains. Whole-ask parity of the
-// substrate path with the seed string paths is test_reference's job.
+// of the WS and TI similarity matrices, and SimScorer against the
+// reference's string-keyed Eq. 5 scorer across all eight datagen domains.
+// Whole-ask parity of the substrate path with the seed string paths is
+// test_reference's job.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -13,6 +14,7 @@
 #include "datagen/question_gen.h"
 #include "datagen/world.h"
 #include "qlog/ti_matrix.h"
+#include "reference/string_rank_sim.h"
 #include "text/porter_stemmer.h"
 #include "text/shorthand.h"
 #include "text/stopwords.h"
@@ -250,12 +252,14 @@ TEST_P(SubstrateParityTest, SimScorerMatchesSeedScoring) {
     core::SimScorer scorer(rt->table->schema(), units, sim);
     for (db::RowId row = 0; row < rt->table->num_rows(); row += 7) {
       for (std::size_t dropped = 0; dropped < units.size(); ++dropped) {
-        const core::PartialScore seed = core::ScorePartialMatch(
+        const core::PartialScore seed = reference::ScorePartialMatch(
             *rt->table, row, units, dropped, sim);
         core::PartialScore ids = scorer.Score(*rt->table, row, dropped);
-        ASSERT_DOUBLE_EQ(seed.rank_sim, ids.rank_sim)
+        // Bit-equal, not within a few ULPs: the canonical answer strings
+        // compare rank_sim at 17 significant digits.
+        ASSERT_EQ(seed.rank_sim, ids.rank_sim)
             << domain << " '" << q.text << "' row " << row;
-        ASSERT_DOUBLE_EQ(seed.unit_sim, ids.unit_sim)
+        ASSERT_EQ(seed.unit_sim, ids.unit_sim)
             << domain << " '" << q.text << "' row " << row;
         ASSERT_EQ(seed.measure, ids.measure);
       }
