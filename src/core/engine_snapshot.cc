@@ -114,11 +114,11 @@ void EngineBuilder::RefreshDeltaRuntime(const std::string& domain) {
   // delta copy differs. The copied runtime keeps its parse generation, so
   // memoized parses and plans stay valid. The copy is what keeps the hot
   // path lock-free — the pending delta stays mutable here, snapshots only
-  // ever see immutable copies. Each publication costs O(pending delta)
-  // record copies, so a stream of N ingests between compactions is O(N^2)
-  // total; compaction cadence bounds N by design (bulk loads should go
-  // through Table::Insert + AddDomain/CompactDomain, not row-at-a-time
-  // IngestAd).
+  // ever see immutable copies. Each publication copies O(pending delta)
+  // record pointers (the records themselves are shared), so a stream of N
+  // ingests between compactions is O(N^2) total; compaction cadence bounds
+  // N by design (bulk loads should go through Table::Insert +
+  // AddDomain/CompactDomain, not row-at-a-time IngestAd).
   auto& slot = runtimes_[domain];
   auto rt = std::make_shared<DomainRuntime>(*slot);
   rt->delta =

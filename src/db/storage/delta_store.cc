@@ -9,7 +9,7 @@ namespace cqads::db {
 
 Result<RowId> DeltaStore::Insert(Record record) {
   CQADS_RETURN_NOT_OK(ValidateRecord(schema_, record));
-  rows_.push_back(std::move(record));
+  rows_.push_back(std::make_shared<const Record>(std::move(record)));
   retired_delta_.push_back(0);
   ++live_delta_rows_;
   return static_cast<RowId>(base_rows_ + rows_.size() - 1);
@@ -53,7 +53,7 @@ std::vector<Record> DeltaStore::MergedRecords(const Table& base) const {
     out.push_back(base.row(r));
   }
   for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (!retired_delta_[i]) out.push_back(rows_[i]);
+    if (!retired_delta_[i]) out.push_back(*rows_[i]);
   }
   return out;
 }

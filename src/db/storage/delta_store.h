@@ -19,6 +19,7 @@
 #define CQADS_DB_STORAGE_DELTA_STORE_H_
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -60,13 +61,13 @@ class DeltaStore {
   Status Retire(RowId global_row);
 
   /// The record of delta slot `i` (0-based local index).
-  const Record& record(std::size_t i) const { return rows_[i]; }
+  const Record& record(std::size_t i) const { return *rows_[i]; }
 
   bool delta_retired(std::size_t i) const { return retired_delta_[i] != 0; }
 
   /// Cell of a GLOBAL row id >= base_rows.
   const Value& cell(RowId global_row, std::size_t attr) const {
-    return rows_[global_row - base_rows_][attr];
+    return (*rows_[global_row - base_rows_])[attr];
   }
 
   /// Tombstoned base rows, sorted ascending (for DifferenceSets masking).
@@ -84,7 +85,9 @@ class DeltaStore {
  private:
   Schema schema_;
   std::size_t base_rows_ = 0;
-  std::vector<Record> rows_;
+  /// Records are immutable once inserted, so a frozen copy shares them
+  /// with the pending store: a publication copies pointers, not cells.
+  std::vector<std::shared_ptr<const Record>> rows_;
   std::vector<char> retired_delta_;  ///< parallel to rows_, 1 = tombstoned
   RowSet retired_base_;              ///< sorted ascending
   std::size_t live_delta_rows_ = 0;

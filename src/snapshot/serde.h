@@ -89,8 +89,7 @@ struct SerdeAccess {
   static void WriteTaggedItem(const core::TaggedItem& item, ByteWriter* w);
   static Status ReadTaggedItem(ByteReader* r, core::TaggedItem* out);
   /// Lexicon is restored against the already-loaded table (schema_ rewires
-  /// to it); the pointer trie_ is rebuilt from the flat trie's completion
-  /// enumeration, since FindShorthand walks it at serve time.
+  /// to it); every trie handle must index the restored entries.
   static void WriteLexicon(const core::DomainLexicon& lex, ByteWriter* w);
   static Status ReadLexicon(ByteReader* r, const ArenaPtr& owner,
                             const db::Table* table,
