@@ -14,7 +14,8 @@
 // engine's builder mutates it under the engine mutex). The hot path never
 // sees this object — each snapshot publication freezes a copy
 // (shared_ptr<const DeltaStore>) that is immutable thereafter, the same
-// discipline as every other snapshot component.
+// discipline as every other snapshot component. The copy shares the
+// records, which never change after Insert.
 #ifndef CQADS_DB_STORAGE_DELTA_STORE_H_
 #define CQADS_DB_STORAGE_DELTA_STORE_H_
 
