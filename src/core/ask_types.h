@@ -69,6 +69,13 @@ struct ParsedQuestion {
   /// time. Empty/null otherwise.
   std::vector<db::exec::PlanPtr> unit_plans;
   db::exec::PlanPtr fixed_plan;
+  /// The fragments' keys in the base table's fragment memo
+  /// (db/exec/fragment_memo.h): entry i is unit i's, the last the fixed
+  /// fragments' (the every-row key when there are none). Computed next to
+  /// the plans, and only when the runtime keeps a memo (a base table
+  /// larger than one rank block); empty otherwise, and then the rank stage
+  /// runs the plans on every request.
+  std::vector<std::string> fragment_keys;
 };
 
 /// One retrieved answer.

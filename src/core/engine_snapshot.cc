@@ -65,6 +65,7 @@ Result<std::shared_ptr<DomainRuntime>> EngineBuilder::MakeRuntime(
   rt->ti_matrix = std::move(ti);
   rt->attr_ranges = ComputeAttrRanges(*table);
   rt->rank_bounds = db::exec::RankBounds::Build(*table);
+  rt->fragment_memo = db::exec::FragmentMemo::ForTable(table->num_rows());
   rt->parse_generation = NextGeneration();
   return rt;
 }

@@ -14,12 +14,14 @@
 //
 // Every DomainRuntime component is held by shared_ptr so a runtime
 // GENERATION is cheap: ingesting one ad publishes a new DomainRuntime that
-// shares the lexicon, tagger, planner, stats, and rank bounds of the old
-// one and differs only in the frozen delta. Compaction is the expensive
+// shares the lexicon, tagger, planner, stats, rank bounds and fragment
+// memo of the old one and differs only in the frozen delta. Compaction is the expensive
 // generation: it rebuilds everything from the merged table.
 //
 // Thread-safety: every const method of EngineSnapshot and DomainRuntime is
-// safe to call concurrently — all contained state is immutable after Build.
+// safe to call concurrently — all contained state is immutable after Build,
+// except each large table's fragment memo, a cache that synchronizes
+// itself.
 // EngineBuilder itself is not thread-safe; callers serialize mutations
 // (CqadsEngine does so behind its mutex).
 #ifndef CQADS_CORE_ENGINE_SNAPSHOT_H_
@@ -37,6 +39,7 @@
 #include "core/domain_lexicon.h"
 #include "core/question_tagger.h"
 #include "core/rank_sim.h"
+#include "db/exec/fragment_memo.h"
 #include "db/exec/planner.h"
 #include "db/exec/rank_bounds.h"
 #include "db/exec/table_stats.h"
@@ -89,6 +92,14 @@ struct DomainRuntime {
   /// Rebuilt whenever the base table changes (registration, compaction,
   /// snapshot load); never serialized.
   std::shared_ptr<const db::exec::RankBounds> rank_bounds;
+  /// The rank stage's memo of relaxation-fragment base rows
+  /// (db/exec/fragment_memo.h), on a base table larger than one rank
+  /// block; null otherwise. The one mutable component, internally
+  /// synchronized: it fills as requests rank. It belongs to `table`, so
+  /// ingest, retire and set_options share it, while a new base table
+  /// (registration, compaction, snapshot load) gets a fresh one. Never
+  /// serialized.
+  std::shared_ptr<db::exec::FragmentMemo> fragment_memo;
   /// Stamp of everything a parse and its plans read: the lexicon, tagger,
   /// frozen stats and planner of `table`, and the engine options. Drawn
   /// from the builder's generation counter whenever one of them changes

@@ -8,6 +8,7 @@
 
 #include "common/failpoint.h"
 #include "db/exec/delta_exec.h"
+#include "db/exec/fragment_memo.h"
 #include "db/exec/rank_bounds.h"
 #include "db/exec/rowset_ops.h"
 #include "db/exec/topk.h"
@@ -121,32 +122,79 @@ constexpr std::size_t kRankBlockWords = db::exec::kRankBlockRows / 64;
 static_assert(db::exec::kRankBlockRows % 64 == 0,
               "rank blocks must be word-aligned in a row bitmap");
 
-/// Rows of relaxation fragment `f` of `parsed` as a bitmap over the global
-/// row space [0, total_rows). Fragment f < units.size() is unit f alone,
-/// fragment units.size() the AND of the fixed fragments (every row when
-/// there are none). Base rows come from the fragment's plan, live delta
-/// rows from the seed row semantics (db/row_match.h), exactly as the delta
-/// union of the relaxed query would. Retired base rows are not masked here.
-Result<db::exec::RowBitmap> FragmentRows(const DomainRuntime& rt,
+/// Base rows of relaxation fragment `f` of `parsed` as a bitmap over
+/// [0, base_rows), from the fragment's plan. Fragment f < units.size() is
+/// unit f alone, fragment units.size() the AND of the fixed fragments
+/// (every row when there are none).
+Result<db::exec::RowBitmap> PlanBaseRows(const DomainRuntime& rt,
                                          const ParsedQuestion& parsed,
-                                         std::size_t f, std::size_t total_rows,
+                                         std::size_t f,
                                          db::ExecStats* stats) {
   const auto& units = parsed.assembled.units;
-  const db::ExprPtr expr = f < units.size() ? units[f].expr : FixedExpr(parsed);
   const db::exec::PhysicalPlan* plan = f < units.size()
                                            ? parsed.unit_plans[f].get()
                                            : parsed.fixed_plan.get();
   const std::size_t base_rows = rt.table->num_rows();
+  ++stats->fragment_evals;
   db::exec::RowBitmap rows(base_rows);
-  if (expr == nullptr) {
+  if (plan == nullptr) {
     rows.ComplementAll();
   } else {
     auto lazy = plan->ExecuteLazy(stats);
     if (!lazy.ok()) return lazy.status();
     rows = std::move(lazy).value().ToBitmap(base_rows);
   }
-  rows.Grow(total_rows);
+  return rows;
+}
+
+/// Base rows of fragment `f` through the runtime's fragment memo: the entry
+/// under the fragment's key, or on a miss the plan's rows, inserted for
+/// later requests.
+Result<db::exec::FragmentMemo::Words> MemoBaseRows(
+    const DomainRuntime& rt, const ParsedQuestion& parsed, std::size_t f,
+    db::ExecStats* stats) {
+  db::exec::FragmentMemo& memo = *rt.fragment_memo;
+  const std::string& key = parsed.fragment_keys[f];
+  if (auto hit = memo.Find(key)) {
+    ++stats->fragment_hits;
+    return hit;
+  }
+  auto rows = PlanBaseRows(rt, parsed, f, stats);
+  if (!rows.ok()) return rows.status();
+  auto words = std::make_shared<const std::vector<std::uint64_t>>(
+      rows.value().AnySet() ? std::move(rows).value().TakeWords()
+                            : std::vector<std::uint64_t>());
+  memo.Insert(key, words);
+  return words;
+}
+
+/// MemoBaseRows as a bitmap of the request's own, to widen by delta rows.
+Result<db::exec::RowBitmap> MemoBaseRowsCopy(const DomainRuntime& rt,
+                                             const ParsedQuestion& parsed,
+                                             std::size_t f,
+                                             db::ExecStats* stats) {
+  auto words = MemoBaseRows(rt, parsed, f, stats);
+  if (!words.ok()) return words.status();
+  db::exec::RowBitmap rows(rt.table->num_rows());
+  std::copy(words.value()->begin(), words.value()->end(), rows.word_data());
+  return rows;
+}
+
+/// Fragment `f`'s rows over the global row space [0, total_rows): its
+/// `base` rows, plus the live delta rows that match it under the seed row
+/// semantics (db/row_match.h), exactly as the delta union of the relaxed
+/// query would. Retired base rows are not masked here.
+db::exec::RowBitmap WithDeltaRows(const DomainRuntime& rt,
+                                  const ParsedQuestion& parsed,
+                                  std::size_t f, db::exec::RowBitmap base,
+                                  std::size_t total_rows,
+                                  db::ExecStats* stats) {
+  const auto& units = parsed.assembled.units;
+  const std::size_t base_rows = base.universe();
+  base.Grow(total_rows);
   if (const db::DeltaStore* delta = rt.live_delta()) {
+    const db::ExprPtr expr =
+        f < units.size() ? units[f].expr : FixedExpr(parsed);
     const db::Schema& schema = rt.table->schema();
     std::size_t scanned = 0;
     for (std::size_t i = 0; i < delta->num_rows(); ++i) {
@@ -154,12 +202,12 @@ Result<db::exec::RowBitmap> FragmentRows(const DomainRuntime& rt,
       ++scanned;
       if (expr == nullptr ||
           db::RecordMatchesExpr(schema, delta->record(i), *expr)) {
-        rows.Set(static_cast<db::RowId>(base_rows + i));
+        base.Set(static_cast<db::RowId>(base_rows + i));
       }
     }
     stats->rows_verified += scanned;
   }
-  return rows;
+  return base;
 }
 
 /// Below this many rows to score, computing per-block bounds (a per-code
@@ -269,7 +317,7 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
   std::vector<BlockRun> runs;
   std::vector<double> ub;  // per-block unit-similarity upper bounds
   std::vector<db::RowId> rows;
-  std::vector<double> rank, unit;
+  std::vector<double> rank, unit, cut_scores;
   const Deadline& deadline = ctx->deadline;
 
   // One ranking pass: the rows set in `cand`, scored with unit `dropped`
@@ -334,8 +382,20 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
       unit.resize(run.rows);
       scorer.ScoreBlock(*rt.table, rows.data(), run.rows, dropped,
                         rank.data(), unit.data());
+      // The block cut (db/exec/topk.h): a row below the block's k-th best
+      // score has k strictly better rows beside it and is never pushed.
+      // Pruned passes only: on a one-block table the cut costs more than
+      // the pushes it saves.
+      double cut = -std::numeric_limits<double>::infinity();
+      if (prunable && run.rows > k) {
+        cut_scores.clear();
+        for (std::size_t i = 0; i < run.rows; ++i) {
+          if (!single || unit[i] > 0.0) cut_scores.push_back(rank[i]);
+        }
+        cut = db::exec::KthBestScore(cut_scores.data(), cut_scores.size(), k);
+      }
       for (std::size_t i = 0; i < run.rows; ++i) {
-        if (single && unit[i] <= 0.0) continue;
+        if ((single && unit[i] <= 0.0) || rank[i] < cut) continue;
         push(rank[i], rows[i], dropped);
       }
     }
@@ -367,24 +427,50 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
     // over the global row space and every pass is word-parallel ANDs.
     // Tombstones: retired delta rows never enter a fragment, retired base
     // rows are cleared from F once.
+    //
+    // On a base table with a fragment memo, a fragment's base rows come
+    // from the memo: with no live delta the passes AND the memoized words
+    // in place, with one they are copied and widened by the delta rows.
     const std::size_t n_units = units.size();
-    std::vector<db::exec::RowBitmap> frag;  // units 0..N-1, then F
+    const bool memoized = rt.fragment_memo != nullptr &&
+                          parsed.fragment_keys.size() == n_units + 1;
+    // Fragment f's words over [0, total_rows) (units 0..N-1, then F), and
+    // whether it selects any row. They point into `owned` (per-request
+    // bitmaps) or into `pinned` (memo entries, kept alive for the request
+    // should the memo evict them meanwhile).
+    std::vector<const std::uint64_t*> frag;
     std::vector<char> empty;
+    std::vector<db::exec::RowBitmap> owned;
+    std::vector<db::exec::FragmentMemo::Words> pinned;
+    owned.reserve(n_units + 1);
     for (std::size_t f = 0; f <= n_units; ++f) {
       if (deadline.expired()) {
         degraded = true;
         break;
       }
-      auto fr = FragmentRows(rt, parsed, f, total_rows, &stats);
       // A fragment that cannot be evaluated selects nothing: the passes
       // that keep it are skipped, as a failing relaxed query skips its
       // pass.
-      frag.push_back(fr.ok() ? std::move(fr).value()
-                             : db::exec::RowBitmap(total_rows));
-      empty.push_back(!frag.back().AnySet());
+      if (memoized && delta == nullptr) {
+        auto words = MemoBaseRows(rt, parsed, f, &stats);
+        const bool none = !words.ok() || words.value()->empty();
+        frag.push_back(none ? nullptr : words.value()->data());
+        empty.push_back(none);
+        if (!none) pinned.push_back(std::move(words).value());
+        continue;
+      }
+      auto base = memoized ? MemoBaseRowsCopy(rt, parsed, f, &stats)
+                           : PlanBaseRows(rt, parsed, f, &stats);
+      owned.push_back(base.ok() ? WithDeltaRows(rt, parsed, f,
+                                                std::move(base).value(),
+                                                total_rows, &stats)
+                                : db::exec::RowBitmap(total_rows));
+      frag.push_back(owned.back().word_data());
+      empty.push_back(!owned.back().AnySet());
     }
+    // With a live delta every fragment is owned, F last.
     if (!degraded && delta != nullptr) {
-      for (db::RowId r : delta->retired_base()) frag[n_units].Reset(r);
+      for (db::RowId r : delta->retired_base()) owned.back().Reset(r);
     }
 
     std::vector<const std::uint64_t*> kept;
@@ -399,7 +485,7 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
       for (std::size_t f = 0; f <= n_units; ++f) {
         if (f == dropped) continue;
         empty_pass = empty_pass || empty[f];
-        kept.push_back(frag[f].word_data());
+        kept.push_back(frag[f]);
       }
       if (empty_pass) continue;
       // Passes run in d order and dedup against every earlier pass (and
@@ -443,7 +529,9 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
         " blocks_skipped=" + std::to_string(stats.rank_blocks_skipped) +
         " rows_pruned=" + std::to_string(stats.rank_rows_pruned) +
         " threshold_updates=" +
-        std::to_string(stats.rank_threshold_updates) + "\n";
+        std::to_string(stats.rank_threshold_updates) +
+        " fragment_hits=" + std::to_string(stats.fragment_hits) +
+        " fragment_evals=" + std::to_string(stats.fragment_evals) + "\n";
   }
   return Status::OK();
 }
@@ -532,14 +620,24 @@ Status PlanQuestion(const EngineSnapshot& snapshot, QueryContext* ctx,
     // across threads, so lazy fill-at-rank-time would need synchronization
     // on the hot path, and on the paper workload most questions do rank
     // partials.
+    // On a runtime with a fragment memo, each fragment's memo key too.
     if (snapshot.options().enable_partial && IsRelaxable(*parsed)) {
+      const bool memoized = rt.fragment_memo != nullptr;
       for (const MatchUnit& unit : parsed->assembled.units) {
         auto unit_plan = CompileFragment(rt, unit.expr);
         if (!unit_plan.ok()) return unit_plan.status();
         parsed->unit_plans.push_back(std::move(unit_plan).value());
+        if (memoized) {
+          parsed->fragment_keys.push_back(
+              db::exec::FragmentKey(unit.expr.get()));
+        }
       }
-      if (db::ExprPtr fixed = FixedExpr(*parsed)) {
-        auto fixed_plan = CompileFragment(rt, std::move(fixed));
+      const db::ExprPtr fixed = FixedExpr(*parsed);
+      if (memoized) {
+        parsed->fragment_keys.push_back(db::exec::FragmentKey(fixed.get()));
+      }
+      if (fixed != nullptr) {
+        auto fixed_plan = CompileFragment(rt, fixed);
         if (!fixed_plan.ok()) return fixed_plan.status();
         parsed->fixed_plan = std::move(fixed_plan).value();
       }

@@ -81,7 +81,8 @@ Result<ParsedQuestion> ParseQuestion(const EngineSnapshot& snapshot,
 /// The "plan" stage: compiles `parsed->query` into a cost-aware physical
 /// plan (db/exec/planner.h) and, for a relaxable question, one plan per
 /// match unit plus one for the fixed fragments, which the rank stage
-/// combines as bitmaps. A contradiction, which never executes, gets none.
+/// combines as bitmaps, and on a runtime with a fragment memo each
+/// fragment's memo key. A contradiction, which never executes, gets none.
 /// The plans ride on the ParsedQuestion, so the prepared-query cache
 /// memoizes them with the rest of the parse, per parse generation.
 Status PlanQuestion(const EngineSnapshot& snapshot, QueryContext* ctx,
@@ -98,7 +99,12 @@ Status PlanQuestion(const EngineSnapshot& snapshot, QueryContext* ctx,
 ///            evaluated once as row bitmaps, relaxation d is the AND of
 ///            the fixed fragments and every unit but d, and one serial
 ///            top-k loop visits each pass's blocks best bound first,
-///            skipping those that bound below the k-th score. A
+///            skipping those that bound below the k-th score. On a base
+///            table larger than one rank block, a fragment's base rows
+///            come from the table's fragment memo (db/exec/fragment_memo.h),
+///            so its plan runs once per base table, not once per request,
+///            and a pruned pass pushes only each scored block's k best
+///            scores into the top k (the block cut, db/exec/topk.h). A
 ///            single-condition question is one pass over every live row.
 ///            Degradable: when the deadline has passed before it, or
 ///            passes between its block runs, the partials kept so far are

@@ -82,6 +82,8 @@ class RowBitmap {
   std::uint64_t* word_data() { return words_.data(); }
   const std::uint64_t* word_data() const { return words_.data(); }
   std::size_t word_count() const { return words_.size(); }
+  /// The words, consuming the bitmap.
+  std::vector<std::uint64_t> TakeWords() && { return std::move(words_); }
 
  private:
   std::size_t universe_;

@@ -19,12 +19,21 @@
 // of candidates pushed, which is what lets the rank stage visit blocks in
 // best-bound order and still match the reference's row-order full sort.
 //
+// The block cut: nor does a candidate that is not pushed matter, when k
+// candidates pushed (or skipped the same way) are strictly better. A
+// pruned rank pass scores a block, takes its k-th best score
+// (KthBestScore) and pushes only the candidates at or above it: one below
+// it has k strictly better candidates in its own block, so it can never
+// be among the k kept. Candidates tied at the cut are all pushed and meet
+// the exact (score, row) rule.
+//
 // Not thread-safe; one instance per request.
 #ifndef CQADS_DB_EXEC_TOPK_H_
 #define CQADS_DB_EXEC_TOPK_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -80,9 +89,7 @@ class TopK {
   bool Push(double score, RowId row, std::uint32_t tag) {
     if (!WouldAccept(score, row)) return false;
     if (full()) {
-      std::pop_heap(heap_.begin(), heap_.end(), TopKBetter);
-      heap_.back() = TopKEntry{score, row, tag};
-      std::push_heap(heap_.begin(), heap_.end(), TopKBetter);
+      ReplaceWorst(TopKEntry{score, row, tag});
       return true;
     }
     heap_.push_back(TopKEntry{score, row, tag});
@@ -97,11 +104,39 @@ class TopK {
   }
 
  private:
+  /// Puts `e` in the root's place and sifts it down, one comparison pair
+  /// per level: each step lifts the worse child while `e` beats it.
+  void ReplaceWorst(const TopKEntry& e) {
+    const std::size_t n = heap_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && TopKBetter(heap_[child], heap_[child + 1])) {
+        ++child;
+      }
+      if (!TopKBetter(e, heap_[child])) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = e;
+  }
+
   std::size_t k_;
   /// Max-heap under TopKBetter: front() is the WORST kept entry (the one
   /// every later candidate must beat).
   std::vector<TopKEntry> heap_;
 };
+
+/// The block cut: the k-th best of `scores[0, n)`, which it reorders. A
+/// candidate of the block scoring below it can never enter a TopK(k) (see
+/// the header comment). -inf when n <= k (nothing to cut), +inf when
+/// k == 0 (nothing enters).
+inline double KthBestScore(double* scores, std::size_t n, std::size_t k) {
+  if (k == 0) return std::numeric_limits<double>::infinity();
+  if (n <= k) return -std::numeric_limits<double>::infinity();
+  std::nth_element(scores, scores + (k - 1), scores + n,
+                   std::greater<double>());
+  return scores[k - 1];
+}
 
 }  // namespace cqads::db::exec
 

@@ -47,6 +47,12 @@ struct ExecStats {
   std::size_t rank_blocks_skipped = 0;
   std::size_t rank_rows_pruned = 0;
   std::size_t rank_threshold_updates = 0;
+  /// Relaxation fragments the rank stage read from the base table's
+  /// fragment memo (db/exec/fragment_memo.h) vs evaluated through their
+  /// plans (every fragment, on a table without a memo). A hit runs no
+  /// plan, so it adds nothing to the row, block and index counters.
+  std::size_t fragment_hits = 0;
+  std::size_t fragment_evals = 0;
 
   ExecStats& operator+=(const ExecStats& other) {
     index_lookups += other.index_lookups;
@@ -58,6 +64,8 @@ struct ExecStats {
     rank_blocks_skipped += other.rank_blocks_skipped;
     rank_rows_pruned += other.rank_rows_pruned;
     rank_threshold_updates += other.rank_threshold_updates;
+    fragment_hits += other.fragment_hits;
+    fragment_evals += other.fragment_evals;
     return *this;
   }
 };

@@ -80,6 +80,12 @@ void ConcurrentServer::RecordOutcome(
       rank_threshold_updates_.fetch_add(st.rank_threshold_updates,
                                         std::memory_order_relaxed);
     }
+    if (st.fragment_hits > 0) {
+      fragment_hits_.fetch_add(st.fragment_hits, std::memory_order_relaxed);
+    }
+    if (st.fragment_evals > 0) {
+      fragment_evals_.fetch_add(st.fragment_evals, std::memory_order_relaxed);
+    }
     return;
   }
   switch (result.status().code()) {
@@ -115,6 +121,8 @@ ConcurrentServer::Stats ConcurrentServer::stats() const {
   s.rank_rows_pruned = rank_rows_pruned_.load(std::memory_order_relaxed);
   s.rank_threshold_updates =
       rank_threshold_updates_.load(std::memory_order_relaxed);
+  s.fragment_hits = fragment_hits_.load(std::memory_order_relaxed);
+  s.fragment_evals = fragment_evals_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -261,6 +269,16 @@ std::string ConcurrentServer::StatsJson() const {
   v.Set("rank_blocks_skipped", num(s.rank_blocks_skipped));
   v.Set("rank_rows_pruned", num(s.rank_rows_pruned));
   v.Set("rank_threshold_updates", num(s.rank_threshold_updates));
+  v.Set("rank_fragment_hits", num(s.fragment_hits));
+  v.Set("rank_fragment_evals", num(s.fragment_evals));
+  std::uint64_t fragment_bytes = 0;
+  const core::EngineSnapshot::Ptr snapshot = engine_->snapshot();
+  for (const std::string& domain : snapshot->Domains()) {
+    const db::exec::FragmentMemo* memo =
+        snapshot->runtime(domain)->fragment_memo.get();
+    if (memo != nullptr) fragment_bytes += memo->resident_bytes();
+  }
+  v.Set("rank_fragment_bytes", num(fragment_bytes));
   v.Set("cache_hits", num(c.hits));
   v.Set("cache_misses", num(c.misses));
   v.Set("cache_evictions", num(c.evictions));

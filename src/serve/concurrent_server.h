@@ -96,6 +96,11 @@ class ConcurrentServer {
     std::uint64_t rank_blocks_skipped = 0;
     std::uint64_t rank_rows_pruned = 0;
     std::uint64_t rank_threshold_updates = 0;
+    /// Relaxation fragments read from a base table's fragment memo vs
+    /// evaluated by the rank stage (db::ExecStats fragment counters
+    /// summed).
+    std::uint64_t fragment_hits = 0;
+    std::uint64_t fragment_evals = 0;
   };
 
   /// The engine must outlive the server. The server never mutates it;
@@ -158,7 +163,9 @@ class ConcurrentServer {
   /// outcome classification, error count, queue depth/age telemetry
   /// (max and mean admission->dequeue wait), prepared-cache hit/miss/
   /// eviction/resident numbers, and the serving configuration (workers,
-  /// max_queue, default budget). Served by the network front-end as the
+  /// max_queue, default budget), plus the rank counters and the bytes
+  /// resident in the current snapshot's fragment memos
+  /// (rank_fragment_bytes). Served by the network front-end as the
   /// "statsz" control method; also useful for logs. Relaxed-atomic reads —
   /// a concurrent snapshot may be slightly torn, like stats().
   std::string StatsJson() const;
@@ -206,6 +213,8 @@ class ConcurrentServer {
   mutable std::atomic<std::uint64_t> rank_blocks_skipped_{0};
   mutable std::atomic<std::uint64_t> rank_rows_pruned_{0};
   mutable std::atomic<std::uint64_t> rank_threshold_updates_{0};
+  mutable std::atomic<std::uint64_t> fragment_hits_{0};
+  mutable std::atomic<std::uint64_t> fragment_evals_{0};
 };
 
 }  // namespace cqads::serve

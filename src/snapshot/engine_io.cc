@@ -172,6 +172,8 @@ Result<core::EngineBuilder> SerdeAccess::LoadEngine(const std::string& path) {
     rt->ti_matrix = std::move(ti);
     rt->attr_ranges = std::move(attr_ranges);
     rt->rank_bounds = db::exec::RankBounds::Build(*rt->table);
+    rt->fragment_memo =
+        db::exec::FragmentMemo::ForTable(rt->table->num_rows());
     rt->parse_generation = builder.NextGeneration();
     builder.runtimes_.emplace(domains[i], std::move(rt));
   }

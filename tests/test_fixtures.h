@@ -107,21 +107,26 @@ inline const std::vector<MiniCar>& MiniCarRows() {
   return *kRows;
 }
 
+/// One MiniCarSchema record.
+inline db::Record MiniCarRecord(const MiniCar& c) {
+  db::Record r;
+  r.push_back(db::Value::Text(c.make));
+  r.push_back(db::Value::Text(c.model));
+  r.push_back(db::Value::Real(c.year));
+  r.push_back(db::Value::Real(c.price));
+  r.push_back(db::Value::Real(c.mileage));
+  r.push_back(db::Value::Text(c.color));
+  r.push_back(db::Value::Text(c.transmission));
+  r.push_back(db::Value::Text(c.doors));
+  r.push_back(db::Value::Text(c.drivetrain));
+  r.push_back(db::Value::Text(c.features));
+  return r;
+}
+
 inline db::Table MiniCarTable() {
   db::Table table(MiniCarSchema());
   for (const MiniCar& c : MiniCarRows()) {
-    db::Record r;
-    r.push_back(db::Value::Text(c.make));
-    r.push_back(db::Value::Text(c.model));
-    r.push_back(db::Value::Real(c.year));
-    r.push_back(db::Value::Real(c.price));
-    r.push_back(db::Value::Real(c.mileage));
-    r.push_back(db::Value::Text(c.color));
-    r.push_back(db::Value::Text(c.transmission));
-    r.push_back(db::Value::Text(c.doors));
-    r.push_back(db::Value::Text(c.drivetrain));
-    r.push_back(db::Value::Text(c.features));
-    auto id = table.Insert(std::move(r));
+    auto id = table.Insert(MiniCarRecord(c));
     if (!id.ok()) throw std::runtime_error(id.status().ToString());
   }
   table.BuildIndexes();

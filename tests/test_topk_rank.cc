@@ -1,11 +1,13 @@
 // The bounded top-k rank path: TopK heap semantics (exact (score desc, row
 // asc) order, tie-safe threshold, k = 0 degenerate, push-order
-// independence), RankBounds block metadata, engine-level byte-parity of the
+// independence, the sift-down push against the pop-and-push heap, the
+// block cut against the full sort), RankBounds block metadata, engine-level byte-parity of the
 // pruned best-first ranking against the reference oracle (reference/) on
 // tie-heavy, clustered, shared-word and 9000-row fleets, the blocks a
 // best-first pass visits, score-tie boundaries at answer_cap, delta rows +
-// tombstones across a compaction, deadline-degraded sweeps, rank counters
-// through ExecStats and ConcurrentServer::StatsJson, and the TSan leg
+// tombstones across a compaction, deadline-degraded sweeps, rank and
+// fragment-memo counters through ExecStats and
+// ConcurrentServer::StatsJson, and the TSan leg
 // racing concurrent server workers' ranking against
 // ingest/retire/compaction.
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,6 +154,181 @@ TEST(TopKTest, PushOrderNeverChangesTheResult) {
       EXPECT_EQ(got[i].row, want[i].row) << salt;
     }
   }
+}
+
+/// TopK's push before the sift-down: pop the worst entry, append the new
+/// one, push it back into the heap.
+class PopPushHeap {
+ public:
+  explicit PopPushHeap(std::size_t k) : k_(k) {}
+  void Push(const TopKEntry& e) {
+    if (k_ == 0) return;
+    if (heap_.size() < k_) {
+      heap_.push_back(e);
+      std::push_heap(heap_.begin(), heap_.end(), db::exec::TopKBetter);
+      return;
+    }
+    if (!db::exec::TopKBetter(e, heap_.front())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), db::exec::TopKBetter);
+    heap_.back() = e;
+    std::push_heap(heap_.begin(), heap_.end(), db::exec::TopKBetter);
+  }
+  double threshold() const {
+    return heap_.size() < k_ ? -std::numeric_limits<double>::infinity()
+                             : heap_.front().score;
+  }
+  std::vector<TopKEntry> Take() {
+    std::sort(heap_.begin(), heap_.end(), db::exec::TopKBetter);
+    return heap_;
+  }
+
+ private:
+  std::size_t k_;
+  std::vector<TopKEntry> heap_;
+};
+
+void ExpectSameEntries(const std::vector<TopKEntry>& got,
+                       const std::vector<TopKEntry>& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].score, want[i].score) << label << " i=" << i;
+    EXPECT_EQ(got[i].row, want[i].row) << label << " i=" << i;
+    EXPECT_EQ(got[i].tag, want[i].tag) << label << " i=" << i;
+  }
+}
+
+TEST(TopKTest, SiftDownPushKeepsThePopPushHeapEntries) {
+  // Random streams over few distinct scores (ties everywhere) and shuffled
+  // rows: after every push the threshold agrees, and so do the entries
+  // kept at the end.
+  Rng rng(2024);
+  for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                        std::size_t{30}, std::size_t{64}}) {
+    for (int stream = 0; stream < 20; ++stream) {
+      std::vector<RowId> rows(400);
+      for (RowId r = 0; r < rows.size(); ++r) rows[r] = r;
+      for (std::size_t i = rows.size(); i > 1; --i) {
+        std::swap(rows[i - 1], rows[static_cast<std::size_t>(rng.UniformInt(
+                                   0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      TopK topk(k);
+      PopPushHeap old(k);
+      for (RowId row : rows) {
+        const TopKEntry e{static_cast<double>(rng.UniformInt(0, 5)) / 2.0,
+                          row, static_cast<std::uint32_t>(row % 3)};
+        topk.Push(e.score, e.row, e.tag);
+        old.Push(e);
+        ASSERT_EQ(topk.threshold(), old.threshold())
+            << "k=" << k << " stream=" << stream;
+      }
+      ExpectSameEntries(topk.Take(), old.Take(),
+                        "k=" + std::to_string(k) +
+                            " stream=" + std::to_string(stream));
+    }
+  }
+}
+
+/// Pushes each block through the block cut, as a pruned rank pass does:
+/// only entries at or above the block's k-th best score.
+std::vector<TopKEntry> TakeWithBlockCut(
+    std::size_t k, const std::vector<std::vector<TopKEntry>>& blocks) {
+  TopK topk(k);
+  std::vector<double> scores;
+  for (const auto& block : blocks) {
+    scores.clear();
+    for (const TopKEntry& e : block) scores.push_back(e.score);
+    const double cut =
+        db::exec::KthBestScore(scores.data(), scores.size(), k);
+    for (const TopKEntry& e : block) {
+      if (e.score >= cut) topk.Push(e.score, e.row, e.tag);
+    }
+  }
+  return topk.Take();
+}
+
+/// The first k entries of the full (score desc, row asc) sort.
+std::vector<TopKEntry> FullSortPrefix(
+    std::size_t k, const std::vector<std::vector<TopKEntry>>& blocks) {
+  std::vector<TopKEntry> all;
+  for (const auto& block : blocks) all.insert(all.end(), block.begin(), block.end());
+  std::sort(all.begin(), all.end(), db::exec::TopKBetter);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+TEST(TopKTest, KthBestScoreCutsBelowTheKthScore) {
+  std::vector<double> scores = {0.5, 2.0, 1.0, 2.0, 1.0, 3.0};
+  EXPECT_EQ(db::exec::KthBestScore(scores.data(), scores.size(), 1), 3.0);
+  EXPECT_EQ(db::exec::KthBestScore(scores.data(), scores.size(), 3), 2.0);
+  EXPECT_EQ(db::exec::KthBestScore(scores.data(), scores.size(), 4), 1.0);
+  // No more candidates than k: nothing to cut. k = 0: nothing enters.
+  EXPECT_EQ(db::exec::KthBestScore(scores.data(), scores.size(), 6),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(db::exec::KthBestScore(scores.data(), scores.size(), 0),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(db::exec::KthBestScore(scores.data(), 0, 30),
+            -std::numeric_limits<double>::infinity());
+}
+
+TEST(TopKTest, BlockCutKeepsTheFullSortPrefix) {
+  Rng rng(77);
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{30}}) {
+    for (int stream = 0; stream < 40; ++stream) {
+      // Shuffled rows, so smaller rows arrive in later blocks; few distinct
+      // scores, so ties straddle every block's cut.
+      std::vector<RowId> rows(600);
+      for (RowId r = 0; r < rows.size(); ++r) rows[r] = r;
+      for (std::size_t i = rows.size(); i > 1; --i) {
+        std::swap(rows[i - 1], rows[static_cast<std::size_t>(rng.UniformInt(
+                                   0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      std::vector<std::vector<TopKEntry>> blocks;
+      std::size_t next = 0;
+      while (next < rows.size()) {
+        const std::size_t n = std::min<std::size_t>(
+            rows.size() - next,
+            static_cast<std::size_t>(rng.UniformInt(0, 120)));
+        std::vector<TopKEntry> block;
+        for (std::size_t i = 0; i < n; ++i) {
+          block.push_back(TopKEntry{
+              static_cast<double>(rng.UniformInt(0, 3 + stream % 5)) / 4.0,
+              rows[next + i], static_cast<std::uint32_t>(stream)});
+        }
+        next += n;
+        blocks.push_back(std::move(block));
+      }
+      ExpectSameEntries(TakeWithBlockCut(k, blocks), FullSortPrefix(k, blocks),
+                        "k=" + std::to_string(k) +
+                            " stream=" + std::to_string(stream));
+    }
+  }
+}
+
+TEST(TopKTest, BlockCutKeepsTiesAtTheKthScore) {
+  constexpr std::size_t kK = 30;
+  // Heavy ties at the k-th score: 10 rows above it, 50 at it. Every row at
+  // the cut is pushed, and the smallest rows among them are kept.
+  std::vector<TopKEntry> heavy;
+  for (RowId r = 0; r < 60; ++r) {
+    heavy.push_back(TopKEntry{r % 6 == 0 ? 2.0 : 1.0, 1000 - r, 0});
+  }
+  ExpectSameEntries(TakeWithBlockCut(kK, {heavy}), FullSortPrefix(kK, {heavy}),
+                    "heavy ties");
+
+  // Equal scores, smaller rows in a later block: the later block's rows
+  // displace the earlier block's at the same score.
+  std::vector<TopKEntry> early, late;
+  for (RowId r = 0; r < 45; ++r) {
+    early.push_back(TopKEntry{1.0, 500 + r, 0});
+    late.push_back(TopKEntry{1.0, 100 + r, 1});
+  }
+  late.push_back(TopKEntry{0.5, 0, 1});
+  const auto got = TakeWithBlockCut(kK, {early, late});
+  ExpectSameEntries(got, FullSortPrefix(kK, {early, late}), "later rows");
+  ASSERT_EQ(got.size(), kK);
+  EXPECT_EQ(got.front().row, 100u);
+  EXPECT_EQ(got.back().row, 100u + kK - 1);
 }
 
 // ------------------------------------------------------- RankBounds unit
@@ -736,6 +914,20 @@ TEST_F(BigDomainTest, DeadlinedSweepsDegradeOrExpireNeverError) {
       << json;
   EXPECT_EQ(s.rank_blocks_visited > 0,
             json.find("\"rank_blocks_visited\":0") == std::string::npos);
+  // The 9000-row table keeps a fragment memo: the relaxed asks above
+  // resolved fragments from it or filled it, and what it holds is counted.
+  EXPECT_NE(json.find("\"rank_fragment_hits\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"rank_fragment_evals\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"rank_fragment_bytes\""), std::string::npos)
+      << json;
+  EXPECT_GT(s.fragment_hits + s.fragment_evals, 0u);
+  EXPECT_EQ(s.fragment_hits > 0,
+            json.find("\"rank_fragment_hits\":0") == std::string::npos);
+  const auto* memo = engine.runtime("cars")->fragment_memo.get();
+  ASSERT_NE(memo, nullptr);
+  EXPECT_EQ(memo->resident_bytes() > 0,
+            json.find("\"rank_fragment_bytes\":0") == std::string::npos);
 }
 
 }  // namespace
