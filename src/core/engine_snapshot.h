@@ -15,8 +15,8 @@
 // Every DomainRuntime component is held by shared_ptr so a runtime
 // GENERATION is cheap: ingesting one ad publishes a new DomainRuntime that
 // shares the lexicon, tagger, planner, stats, rank bounds and fragment
-// memo of the old one and differs only in the frozen delta. Compaction is the expensive
-// generation: it rebuilds everything from the merged table.
+// memo of the old one and differs only in the frozen delta. Compaction is
+// the expensive generation: it rebuilds everything from the merged table.
 //
 // Thread-safety: every const method of EngineSnapshot and DomainRuntime is
 // safe to call concurrently — all contained state is immutable after Build,

@@ -11,8 +11,21 @@ namespace {
 // Node tags. Every encoding starts with one, so the every-row key (one
 // byte of its own) differs from every expression's.
 constexpr char kEveryRow = 'T';
-constexpr char kNodeTag[] = {'P', 'A', 'O', 'N'};  // indexed by Expr::Kind
 constexpr char kNull = '0', kInt = 'i', kReal = 'r', kText = 't';
+
+char NodeTag(Expr::Kind kind) {
+  switch (kind) {
+    case Expr::Kind::kPredicate:
+      return 'P';
+    case Expr::Kind::kAnd:
+      return 'A';
+    case Expr::Kind::kOr:
+      return 'O';
+    case Expr::Kind::kNot:
+      return 'N';
+  }
+  return '?';
+}
 
 template <typename T>
 void AppendRaw(const T& v, std::string* out) {
@@ -42,7 +55,7 @@ void AppendValue(const Value& v, std::string* out) {
 }
 
 void AppendExpr(const Expr& e, std::string* out) {
-  out->push_back(kNodeTag[static_cast<int>(e.kind())]);
+  out->push_back(NodeTag(e.kind()));
   if (e.kind() == Expr::Kind::kPredicate) {
     const Predicate& p = e.predicate();
     AppendRaw(static_cast<std::uint64_t>(p.attr), out);

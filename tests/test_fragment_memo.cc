@@ -360,9 +360,19 @@ TEST_F(MemoLifecycleTest, MemoFollowsTheBaseTable) {
   // New options, same base table: the parses are recompiled, the memo kept.
   core::EngineOptions options;
   options.answer_cap = options.partial_trigger = 12;
+  options.explain_plans = true;
   engine_.SetOptions(options);
   EXPECT_EQ(Memo(), memo);
   ExpectAllHits("options");
+  // The Explain rank line reports the memo's work.
+  const std::string q = Questions()[0];
+  auto explained = engine_.AskInDomain("cars", q);
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  EXPECT_NE(explained.value().explain.find(
+                " fragment_hits=" + std::to_string(Fragments(q)) +
+                " fragment_evals=0\n"),
+            std::string::npos)
+      << explained.value().explain;
 
   // Compaction builds a new base table and a new, cold memo.
   ASSERT_TRUE(engine_.CompactDomain("cars").ok());

@@ -1,15 +1,14 @@
 // The bounded top-k rank path: TopK heap semantics (exact (score desc, row
 // asc) order, tie-safe threshold, k = 0 degenerate, push-order
 // independence, the sift-down push against the pop-and-push heap, the
-// block cut against the full sort), RankBounds block metadata, engine-level byte-parity of the
-// pruned best-first ranking against the reference oracle (reference/) on
-// tie-heavy, clustered, shared-word and 9000-row fleets, the blocks a
-// best-first pass visits, score-tie boundaries at answer_cap, delta rows +
-// tombstones across a compaction, deadline-degraded sweeps, rank and
-// fragment-memo counters through ExecStats and
-// ConcurrentServer::StatsJson, and the TSan leg
-// racing concurrent server workers' ranking against
-// ingest/retire/compaction.
+// block cut against the full sort), RankBounds block metadata,
+// engine-level byte-parity of the pruned best-first ranking against the
+// reference oracle (reference/) on tie-heavy, clustered, shared-word and
+// 9000-row fleets, the blocks a best-first pass visits, score-tie
+// boundaries at answer_cap, delta rows + tombstones across a compaction,
+// deadline-degraded sweeps, rank and fragment-memo counters through
+// ExecStats and ConcurrentServer::StatsJson, and the TSan leg racing
+// concurrent server workers' ranking against ingest/retire/compaction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -251,7 +250,9 @@ std::vector<TopKEntry> TakeWithBlockCut(
 std::vector<TopKEntry> FullSortPrefix(
     std::size_t k, const std::vector<std::vector<TopKEntry>>& blocks) {
   std::vector<TopKEntry> all;
-  for (const auto& block : blocks) all.insert(all.end(), block.begin(), block.end());
+  for (const auto& block : blocks) {
+    all.insert(all.end(), block.begin(), block.end());
+  }
   std::sort(all.begin(), all.end(), db::exec::TopKBetter);
   all.resize(std::min(k, all.size()));
   return all;
