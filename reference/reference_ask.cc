@@ -119,7 +119,12 @@ Result<AskResult> AnswerInContext(const core::EngineSnapshot& snapshot,
   const std::size_t base_rows = table.num_rows();
   const std::size_t total_rows =
       base_rows + (delta != nullptr ? delta->num_rows() : 0);
-  const core::SimilarityContext sim = snapshot.MakeSimilarityContext(*rt);
+  // The string scorer needs no record terms, so the oracle leaves the
+  // runtime's unbuilt.
+  core::SimilarityContext sim;
+  sim.ti = rt->ti_matrix.get();
+  sim.ws = snapshot.word_similarity();
+  sim.attr_ranges = &rt->attr_ranges;
   auto score = [&](db::RowId row, std::size_t dropped) {
     if (row < base_rows) {
       return ScorePartialMatch(table, row, units, dropped, sim);

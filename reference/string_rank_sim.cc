@@ -139,9 +139,8 @@ double UnitSimilarityImpl(const RowAccess& access,
         if (!v.is_numeric()) continue;
         double target =
             c.op == db::CompareOp::kBetween ? (c.lo + c.hi) / 2.0 : c.lo;
-        double range =
-            attr < ctx.attr_ranges.size() ? ctx.attr_ranges[attr] : 0.0;
-        best = std::max(best, core::NumSim(target, v.AsDouble(), range));
+        best = std::max(best, core::NumSim(target, v.AsDouble(),
+                                           ctx.attr_range(attr)));
       }
       return best;
     }

@@ -41,7 +41,8 @@ SimilarityContext EngineSnapshot::MakeSimilarityContext(
   SimilarityContext ctx;
   ctx.ti = rt.ti_matrix.get();
   ctx.ws = ws_;
-  ctx.attr_ranges = rt.attr_ranges;
+  ctx.attr_ranges = &rt.attr_ranges;
+  ctx.terms = &rt.record_terms->Get();
   return ctx;
 }
 
@@ -65,6 +66,8 @@ Result<std::shared_ptr<DomainRuntime>> EngineBuilder::MakeRuntime(
   rt->ti_matrix = std::move(ti);
   rt->attr_ranges = ComputeAttrRanges(*table);
   rt->rank_bounds = db::exec::RankBounds::Build(*table);
+  rt->record_terms =
+      std::make_shared<const RecordTermsCell>(table, rt->ti_matrix.get());
   rt->fragment_memo = db::exec::FragmentMemo::ForTable(table->num_rows());
   rt->parse_generation = NextGeneration();
   return rt;

@@ -14,14 +14,15 @@
 //
 // Every DomainRuntime component is held by shared_ptr so a runtime
 // GENERATION is cheap: ingesting one ad publishes a new DomainRuntime that
-// shares the lexicon, tagger, planner, stats, rank bounds and fragment
-// memo of the old one and differs only in the frozen delta. Compaction is
-// the expensive generation: it rebuilds everything from the merged table.
+// shares the lexicon, tagger, planner, stats, rank bounds, record terms
+// and fragment memo of the old one and differs only in the frozen delta.
+// Compaction is the expensive generation: it rebuilds everything from the
+// merged table.
 //
 // Thread-safety: every const method of EngineSnapshot and DomainRuntime is
 // safe to call concurrently — all contained state is immutable after Build,
 // except each large table's fragment memo, a cache that synchronizes
-// itself.
+// itself, and each table's record terms, built once on first use.
 // EngineBuilder itself is not thread-safe; callers serialize mutations
 // (CqadsEngine does so behind its mutex).
 #ifndef CQADS_CORE_ENGINE_SNAPSHOT_H_
@@ -88,6 +89,13 @@ struct DomainRuntime {
   std::shared_ptr<const db::DeltaStore> delta;
   std::shared_ptr<const qlog::TiMatrix> ti_matrix;
   std::vector<double> attr_ranges;  ///< Eq. 4 normalization
+  /// The record side of Eq. 5 over `table` (core/rank_sim.h): element
+  /// tokens and stems, Type I TI ids. Built on the first rank that scores
+  /// the table, not at registration or load. It belongs to `table`, so
+  /// ingest, retire and set_options share it, while a new base table
+  /// (registration, compaction, snapshot load) gets a fresh, empty cell.
+  /// Never serialized.
+  std::shared_ptr<const RecordTermsCell> record_terms;
   /// Per-block code/value summaries of `table` for top-k rank pruning.
   /// Rebuilt whenever the base table changes (registration, compaction,
   /// snapshot load); never serialized.
@@ -154,7 +162,9 @@ class EngineSnapshot {
   /// Token-stream form (the pipeline's tokenize-once path).
   Result<std::string> ClassifyDomainTokens(const text::TokenList& tokens) const;
 
-  /// Similarity resources for Rank_Sim scoring within one domain.
+  /// Similarity resources for Rank_Sim scoring over `rt`'s base table;
+  /// the first call for a table builds its record terms. Points into `rt`
+  /// and this snapshot, which must outlive it.
   SimilarityContext MakeSimilarityContext(const DomainRuntime& rt) const;
 
  private:
@@ -183,7 +193,7 @@ class EngineBuilder {
 
   /// Registers a domain: the ads table (indexes built) and its query-log-
   /// derived TI-matrix. Builds the trie lexicon, tagger, planner, rank
-  /// bounds, and attribute ranges.
+  /// bounds, and attribute ranges (the record terms wait for a rank).
   /// Untrains the classifier (corpus changed).
   Status AddDomain(const db::Table* table, qlog::TiMatrix ti_matrix);
 

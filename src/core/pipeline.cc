@@ -273,12 +273,12 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
   db::exec::RowBitmap already(total_rows);
   for (const auto& a : out.answers) already.Set(a.row);
 
-  // Scoring over the global id space: base rows read the column store,
-  // delta rows their row-major record — identical semantics either way
-  // (core/rank_sim.h record overloads). A per-request SimScorer resolves
-  // the question side to TermIds once and memoizes record-side strings, so
-  // the per-candidate loops below perform no stemming and build no
-  // string-pair keys.
+  // Scoring over the global id space: base rows by their dictionary codes
+  // against the table's record terms, delta rows from their row-major
+  // record — identical semantics either way (core/rank_sim.h). A
+  // per-request SimScorer resolves the question side once and computes one
+  // similarity per distinct code key, so the per-candidate loops below
+  // perform no stemming and no string lookups.
   SimScorer scorer(rt.table->schema(), units, sim);
 
   // Only the first (answer_cap - exact) partials can ship, so ranking is a
@@ -409,10 +409,11 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
       for (; bits != 0; bits &= bits - 1) {
         const auto row =
             static_cast<db::RowId>(w * 64 + __builtin_ctzll(bits));
-        const PartialScore p = scorer.Score(
-            rt.table->schema(), delta->record(row - base_rows), dropped);
-        if (single && p.unit_sim <= 0.0) continue;
-        push(p.rank_sim, row, dropped);
+        double rank_sim, unit_sim;
+        scorer.ScoreRecord(delta->record(row - base_rows), dropped,
+                           &rank_sim, &unit_sim);
+        if (single && unit_sim <= 0.0) continue;
+        push(rank_sim, row, dropped);
       }
     }
     return true;
@@ -518,6 +519,8 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
     degraded = !rank_pass(0, /*single=*/true);
   }
 
+  stats.rank_rows_scored += scorer.rows_scored();
+  stats.rank_sim_evals += scorer.sim_evals();
   for (const auto& e : topk.Take()) {
     out.answers.push_back(
         Answer{e.row, false, e.score, scorer.unit_measure(e.tag)});
@@ -530,6 +533,8 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
         " rows_pruned=" + std::to_string(stats.rank_rows_pruned) +
         " threshold_updates=" +
         std::to_string(stats.rank_threshold_updates) +
+        " rows_scored=" + std::to_string(stats.rank_rows_scored) +
+        " sim_evals=" + std::to_string(stats.rank_sim_evals) +
         " fragment_hits=" + std::to_string(stats.fragment_hits) +
         " fragment_evals=" + std::to_string(stats.fragment_evals) + "\n";
   }

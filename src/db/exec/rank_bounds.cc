@@ -21,7 +21,7 @@ std::shared_ptr<const RankBounds> RankBounds::Build(const db::Table& table) {
     ab.code_min.assign(nb, std::numeric_limits<std::uint32_t>::max());
     ab.code_max.assign(nb, 0);
     ab.has_null.assign(nb, 0);
-    ab.first_row_of_code.assign(store.dictionary(a).size(), kNoRankRow);
+    ab.code_present.assign(store.dictionary(a).size(), 0);
 
     const std::uint32_t* codes = store.code_column(a).data();
     const auto& packed = store.numeric_column(a);
@@ -36,16 +36,12 @@ std::shared_ptr<const RankBounds> RankBounds::Build(const db::Table& table) {
       const std::uint32_t c = codes[r];
       if (c == db::ColumnStore::kNullCode) {
         ab.has_null[b] = 1;
-        if (ab.first_null_row == kNoRankRow) {
-          ab.first_null_row = static_cast<RowId>(r);
-        }
+        ab.any_null = true;
         continue;
       }
       if (c < ab.code_min[b]) ab.code_min[b] = c;
       if (c > ab.code_max[b]) ab.code_max[b] = c;
-      if (ab.first_row_of_code[c] == kNoRankRow) {
-        ab.first_row_of_code[c] = static_cast<RowId>(r);
-      }
+      ab.code_present[c] = 1;
       if (numeric) {
         const double v = packed.data()[r];
         if (!std::isnan(v)) {

@@ -8,13 +8,12 @@
 //   * for numeric columns, the [val_min, val_max] of the block's non-NaN
 //     packed values.
 //
-// Plus one representative row per distinct dictionary code (the first row
-// carrying it) and one per-attribute first-NULL row. A similarity that is a
-// pure function of a row's code on one attribute (the SimScorer memo
-// argument: same code -> same cell -> same elements) can then be bounded
-// per block by maxing the representative-row similarities over the block's
-// code range — an upper bound because the range is a superset, and exact on
-// the codes it was computed from. Numeric Num_Sim is bounded exactly from
+// Plus, per attribute, which dictionary codes some row carries and whether
+// any cell is NULL. A similarity that is a pure function of a row's code on
+// one attribute (SimScorer's code-key argument: same code -> same cell ->
+// same elements) can then be bounded per block by maxing the similarities
+// of the codes present over the block's code range — an upper bound because
+// the range is a superset, and exact on the codes it was computed from. Numeric Num_Sim is bounded exactly from
 // [val_min, val_max] (Eq. 4 is unimodal in the record value with its peak
 // at the question's target).
 //
@@ -38,9 +37,6 @@ namespace cqads::db::exec {
 /// vectorized block size so Explain counters speak one unit.
 inline constexpr std::size_t kRankBlockRows = 1024;
 
-/// Sentinel: no representative row exists (code unused / column never NULL).
-inline constexpr RowId kNoRankRow = static_cast<RowId>(-1);
-
 class RankBounds {
  public:
   /// Per-attribute, per-block summary. Arrays are indexed by block; a block
@@ -52,10 +48,11 @@ class RankBounds {
     /// Numeric columns only (empty otherwise).
     std::vector<double> val_min;
     std::vector<double> val_max;
-    /// First row of each dictionary code (size = dictionary size).
-    std::vector<RowId> first_row_of_code;
-    /// First row whose cell is NULL; kNoRankRow when the column has none.
-    RowId first_null_row = kNoRankRow;
+    /// 1 for each dictionary code some row carries (size = dictionary
+    /// size).
+    std::vector<std::uint8_t> code_present;
+    /// Some cell of the column is NULL.
+    bool any_null = false;
   };
 
   static std::shared_ptr<const RankBounds> Build(const db::Table& table);

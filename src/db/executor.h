@@ -47,6 +47,12 @@ struct ExecStats {
   std::size_t rank_blocks_skipped = 0;
   std::size_t rank_rows_pruned = 0;
   std::size_t rank_threshold_updates = 0;
+  /// Eq. 5 scoring work of the rank stage: candidate rows scored (base and
+  /// delta), and similarities computed for them — one per distinct
+  /// dictionary-code key a request meets plus one per delta row (numeric
+  /// units over base rows read their packed columns and compute none).
+  std::size_t rank_rows_scored = 0;
+  std::size_t rank_sim_evals = 0;
   /// Relaxation fragments the rank stage read from the base table's
   /// fragment memo (db/exec/fragment_memo.h) vs evaluated through their
   /// plans (every fragment, on a table without a memo). A hit runs no
@@ -64,6 +70,8 @@ struct ExecStats {
     rank_blocks_skipped += other.rank_blocks_skipped;
     rank_rows_pruned += other.rank_rows_pruned;
     rank_threshold_updates += other.rank_threshold_updates;
+    rank_rows_scored += other.rank_rows_scored;
+    rank_sim_evals += other.rank_sim_evals;
     fragment_hits += other.fragment_hits;
     fragment_evals += other.fragment_evals;
     return *this;

@@ -374,10 +374,10 @@ RankingResult RunRanking(const datagen::World& world,
     auto candidates_questions = datagen::GenerateQuestions(
         *spec, *table, questions_per_domain * 8, opts, &qrng);
 
-    core::SimilarityContext ctx;
-    ctx.ti = rt->ti_matrix.get();
-    ctx.ws = &world.ws_matrix();
-    ctx.attr_ranges = rt->attr_ranges;
+    // `table` is the runtime's base table, which the context's record
+    // terms describe.
+    const core::SimilarityContext ctx =
+        world.engine().snapshot()->MakeSimilarityContext(*rt);
 
     baselines::CqadsRanker cqads_ranker(&ctx);
     baselines::AimqRanker aimq_ranker(table);
@@ -473,13 +473,7 @@ EfficiencyResult RunEfficiency(
 
   for (const auto& [domain, qs] : questions) {
     const db::Table* table = world.table(domain);
-    const core::DomainRuntime* rt = world.engine().runtime(domain);
-    if (table == nullptr || rt == nullptr) continue;
-
-    core::SimilarityContext ctx;
-    ctx.ti = rt->ti_matrix.get();
-    ctx.ws = &world.ws_matrix();
-    ctx.attr_ranges = rt->attr_ranges;
+    if (table == nullptr) continue;
 
     baselines::AimqRanker aimq_ranker(table);
     baselines::CosineRanker cosine_ranker;

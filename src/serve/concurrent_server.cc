@@ -80,6 +80,13 @@ void ConcurrentServer::RecordOutcome(
       rank_threshold_updates_.fetch_add(st.rank_threshold_updates,
                                         std::memory_order_relaxed);
     }
+    if (st.rank_rows_scored > 0) {
+      rank_rows_scored_.fetch_add(st.rank_rows_scored,
+                                  std::memory_order_relaxed);
+    }
+    if (st.rank_sim_evals > 0) {
+      rank_sim_evals_.fetch_add(st.rank_sim_evals, std::memory_order_relaxed);
+    }
     if (st.fragment_hits > 0) {
       fragment_hits_.fetch_add(st.fragment_hits, std::memory_order_relaxed);
     }
@@ -121,6 +128,8 @@ ConcurrentServer::Stats ConcurrentServer::stats() const {
   s.rank_rows_pruned = rank_rows_pruned_.load(std::memory_order_relaxed);
   s.rank_threshold_updates =
       rank_threshold_updates_.load(std::memory_order_relaxed);
+  s.rank_rows_scored = rank_rows_scored_.load(std::memory_order_relaxed);
+  s.rank_sim_evals = rank_sim_evals_.load(std::memory_order_relaxed);
   s.fragment_hits = fragment_hits_.load(std::memory_order_relaxed);
   s.fragment_evals = fragment_evals_.load(std::memory_order_relaxed);
   return s;
@@ -269,6 +278,8 @@ std::string ConcurrentServer::StatsJson() const {
   v.Set("rank_blocks_skipped", num(s.rank_blocks_skipped));
   v.Set("rank_rows_pruned", num(s.rank_rows_pruned));
   v.Set("rank_threshold_updates", num(s.rank_threshold_updates));
+  v.Set("rank_rows_scored", num(s.rank_rows_scored));
+  v.Set("rank_sim_evals", num(s.rank_sim_evals));
   v.Set("rank_fragment_hits", num(s.fragment_hits));
   v.Set("rank_fragment_evals", num(s.fragment_evals));
   std::uint64_t fragment_bytes = 0;

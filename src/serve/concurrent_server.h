@@ -96,6 +96,10 @@ class ConcurrentServer {
     std::uint64_t rank_blocks_skipped = 0;
     std::uint64_t rank_rows_pruned = 0;
     std::uint64_t rank_threshold_updates = 0;
+    /// Eq. 5 scoring work (db::ExecStats rank_rows_scored and
+    /// rank_sim_evals summed): rows scored, and similarities computed.
+    std::uint64_t rank_rows_scored = 0;
+    std::uint64_t rank_sim_evals = 0;
     /// Relaxation fragments read from a base table's fragment memo vs
     /// evaluated by the rank stage (db::ExecStats fragment counters
     /// summed).
@@ -213,6 +217,8 @@ class ConcurrentServer {
   mutable std::atomic<std::uint64_t> rank_blocks_skipped_{0};
   mutable std::atomic<std::uint64_t> rank_rows_pruned_{0};
   mutable std::atomic<std::uint64_t> rank_threshold_updates_{0};
+  mutable std::atomic<std::uint64_t> rank_rows_scored_{0};
+  mutable std::atomic<std::uint64_t> rank_sim_evals_{0};
   mutable std::atomic<std::uint64_t> fragment_hits_{0};
   mutable std::atomic<std::uint64_t> fragment_evals_{0};
 };

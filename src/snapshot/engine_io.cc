@@ -172,6 +172,8 @@ Result<core::EngineBuilder> SerdeAccess::LoadEngine(const std::string& path) {
     rt->ti_matrix = std::move(ti);
     rt->attr_ranges = std::move(attr_ranges);
     rt->rank_bounds = db::exec::RankBounds::Build(*rt->table);
+    rt->record_terms = std::make_shared<const core::RecordTermsCell>(
+        rt->table, rt->ti_matrix.get());
     rt->fragment_memo =
         db::exec::FragmentMemo::ForTable(rt->table->num_rows());
     rt->parse_generation = builder.NextGeneration();

@@ -179,9 +179,12 @@ TEST_F(BaselinesTest, CqadsRankerUsesUnitSimilarity) {
   spec.num_sessions = 400;
   Rng rng(5);
   qlog::TiMatrix ti = qlog::TiMatrix::Build(qlog::GenerateQueryLog(spec, &rng));
+  const std::vector<double> ranges = core::ComputeAttrRanges(table_);
+  const auto terms = core::RecordTerms::Build(table_, &ti);
   core::SimilarityContext ctx;
   ctx.ti = &ti;
-  ctx.attr_ranges = core::ComputeAttrRanges(table_);
+  ctx.attr_ranges = &ranges;
+  ctx.terms = terms.get();
 
   CqadsRanker ranker(&ctx);
   // Row 5 (camry blue 8561, same segment) should outrank row 9 (bmw).
@@ -192,9 +195,11 @@ TEST_F(BaselinesTest, CqadsRankerUsesUnitSimilarity) {
 }
 
 TEST_F(BaselinesTest, AllRankersRespectK) {
-  qlog::TiMatrix ti;
+  const std::vector<double> ranges = core::ComputeAttrRanges(table_);
+  const auto terms = core::RecordTerms::Build(table_, nullptr);
   core::SimilarityContext ctx;
-  ctx.attr_ranges = core::ComputeAttrRanges(table_);
+  ctx.attr_ranges = &ranges;
+  ctx.terms = terms.get();
   CqadsRanker cqads(&ctx);
   AimqRanker aimq(&table_);
   CosineRanker cosine;
@@ -209,7 +214,6 @@ TEST_F(BaselinesTest, AllRankersRespectK) {
 }
 
 TEST_F(BaselinesTest, RankerNames) {
-  qlog::TiMatrix ti;
   core::SimilarityContext ctx;
   EXPECT_EQ(CqadsRanker(&ctx).name(), "CQAds");
   EXPECT_EQ(AimqRanker(&table_).name(), "AIMQ");

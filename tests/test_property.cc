@@ -291,8 +291,11 @@ TEST(SimilarityPropertyTest, RankSimBoundedByUnitCount) {
   ASSERT_TRUE(table_result.ok());
   const db::Table& table = table_result.value();
 
+  const std::vector<double> ranges = core::ComputeAttrRanges(table);
+  const auto terms = core::RecordTerms::Build(table, nullptr);
   core::SimilarityContext ctx;
-  ctx.attr_ranges = core::ComputeAttrRanges(table);
+  ctx.attr_ranges = &ranges;
+  ctx.terms = terms.get();
 
   core::MatchUnit unit;
   unit.kind = core::MatchUnit::Kind::kTypeIII;

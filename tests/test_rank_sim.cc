@@ -5,10 +5,16 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "qlog/log_generator.h"
+#include "reference/string_rank_sim.h"
+#include "text/porter_stemmer.h"
+#include "text/tokenizer.h"
 #include "test_fixtures.h"
 
 namespace cqads::core {
@@ -75,9 +81,12 @@ class RankSimTest : public ::testing::Test {
     }
     ws_ = wordsim::WsMatrix::Build(corpus);
 
+    ranges_ = ComputeAttrRanges(table_);
+    terms_ = RecordTerms::Build(table_, &ti_);
     ctx_.ti = &ti_;
     ctx_.ws = &ws_;
-    ctx_.attr_ranges = ComputeAttrRanges(table_);
+    ctx_.attr_ranges = &ranges_;
+    ctx_.terms = terms_.get();
   }
 
   MatchUnit IdentityUnit(const char* make, const char* model) {
@@ -126,6 +135,8 @@ class RankSimTest : public ::testing::Test {
   db::Table table_;
   qlog::TiMatrix ti_;
   wordsim::WsMatrix ws_;
+  std::vector<double> ranges_;
+  std::unique_ptr<const RecordTerms> terms_;
   SimilarityContext ctx_;
 };
 
@@ -203,8 +214,10 @@ TEST_F(RankSimTest, Table2OrderingShape) {
 }
 
 TEST_F(RankSimTest, NullContextsDegradeGracefully) {
+  const auto terms = RecordTerms::Build(table_, nullptr);
   SimilarityContext empty;
-  empty.attr_ranges = ComputeAttrRanges(table_);
+  empty.attr_ranges = &ranges_;
+  empty.terms = terms.get();
   auto unit = IdentityUnit("honda", "accord");
   EXPECT_DOUBLE_EQ(UnitSim(table_, 5, unit, empty), 0.0);
   // Num_Sim still works without matrices.
@@ -270,10 +283,13 @@ TEST(ScoreBlockNumericTest, MatchesPerRowScoreBitForBit) {
   }
   table.BuildIndexes();
 
-  SimilarityContext ctx;
   // year holds one distinct value, so its range is 0 (ComputeAttrRanges'
   // top-ten minus bottom-ten average): Num_Sim on it is always 0.
-  ctx.attr_ranges = {0.0, 10000.0, 0.0, 150000.0};
+  const std::vector<double> ranges = {0.0, 10000.0, 0.0, 150000.0};
+  const auto terms = RecordTerms::Build(table, nullptr);
+  SimilarityContext ctx;
+  ctx.attr_ranges = &ranges;
+  ctx.terms = terms.get();
 
   std::vector<MatchUnit> units(3);
   // Type III kBetween on price: target at the midpoint, 8000.
@@ -312,6 +328,327 @@ TEST(ScoreBlockNumericTest, MatchesPerRowScoreBitForBit) {
     // Not vacuous: finite prices near each target score above 0.
     EXPECT_GT(positive, 0u) << "unit " << dropped;
   }
+}
+
+// ----------------------------- scoring by code vs the reference scorer
+
+/// Hand-built edge cases of scoring base rows by dictionary code and delta
+/// records by string, each checked bit for bit against the reference
+/// string scorer (reference/string_rank_sim.h) and pinned to its value.
+/// MiniCarSchema columns.
+constexpr std::size_t kMake = 0, kModel = 1, kPrice = 3, kColor = 5,
+                      kDoors = 7, kFeatures = 9;
+
+class CodePathTest : public ::testing::Test {
+ protected:
+  CodePathTest() : table_(cqads::testing::MiniCarSchema()) {
+    const auto& cars = cqads::testing::MiniCarRows();
+    for (const auto& car : cars) Insert(cqads::testing::MiniCarRecord(car));
+    // NULL cells: row 13 has no make, color or features (an accord),
+    // row 14 no model (a chevy).
+    db::Record r = cqads::testing::MiniCarRecord(cars[1]);
+    r[kMake] = db::Value::Null();
+    r[kColor] = db::Value::Null();
+    r[kFeatures] = db::Value::Null();
+    Insert(std::move(r));
+    r = cqads::testing::MiniCarRecord(cars[4]);
+    r[kModel] = db::Value::Null();
+    Insert(std::move(r));
+    table_.BuildIndexes();
+
+    // "jeep cherokee" stays outside the TI vocabulary.
+    qlog::LogGenSpec spec;
+    spec.values = {"honda accord", "toyota camry", "chevy malibu",
+                   "ford focus", "accord", "honda"};
+    spec.cluster_of = {0, 0, 0, 1, 0, 0};
+    spec.num_sessions = 600;
+    Rng rng(321);
+    ti_ = qlog::TiMatrix::Build(qlog::GenerateQueryLog(spec, &rng));
+    std::vector<std::string> corpus(
+        6, "blue navy door paint gps leather seats sunroof heated mirrors "
+           "power steering cd player teal");
+    ws_ = wordsim::WsMatrix::Build(corpus);
+
+    ranges_ = ComputeAttrRanges(table_);
+    terms_ = RecordTerms::Build(table_, &ti_);
+    ctx_.ti = &ti_;
+    ctx_.ws = &ws_;
+    ctx_.attr_ranges = &ranges_;
+    ctx_.terms = terms_.get();
+  }
+
+  void Insert(db::Record r) { ASSERT_TRUE(table_.Insert(std::move(r)).ok()); }
+
+  static MatchUnit TypeIIUnit(std::size_t attr, const char* value) {
+    MatchUnit u;
+    u.kind = MatchUnit::Kind::kTypeII;
+    u.attr = attr;
+    u.value = value;
+    Condition c;
+    c.kind = Condition::Kind::kTypeII;
+    c.attr = attr;
+    c.value = value;
+    u.conds = {c};
+    return u;
+  }
+
+  static MatchUnit IdentityUnit(const char* make, const char* model) {
+    MatchUnit u;
+    u.kind = MatchUnit::Kind::kIdentity;
+    u.value = std::string(make) + " " + model;
+    Condition c;
+    c.kind = Condition::Kind::kTypeI;
+    c.attr = kMake;
+    c.value = make;
+    u.conds.push_back(c);
+    c.attr = kModel;
+    c.value = model;
+    u.conds.push_back(c);
+    u.attr = kModel;
+    return u;
+  }
+
+  /// Scores every row with each unit dropped, through one ScoreBlock over
+  /// the whole table (rows descending) and through Score row by row, and
+  /// checks both against the reference. Returns the unit similarities by
+  /// [dropped unit][row].
+  std::vector<std::vector<double>> ExpectReferenceParity(
+      const std::vector<MatchUnit>& units) {
+    return ExpectReferenceParity(units, ctx_);
+  }
+  std::vector<std::vector<double>> ExpectReferenceParity(
+      const std::vector<MatchUnit>& units, const SimilarityContext& ctx) {
+    std::vector<std::vector<double>> sims(units.size());
+    SimScorer block_scorer(table_.schema(), units, ctx);
+    SimScorer row_scorer(table_.schema(), units, ctx);
+    std::vector<db::RowId> rows;
+    for (db::RowId r = table_.num_rows(); r-- > 0;) rows.push_back(r);
+    std::vector<double> rank(rows.size()), unit(rows.size());
+    for (std::size_t d = 0; d < units.size(); ++d) {
+      block_scorer.ScoreBlock(table_, rows.data(), rows.size(), d,
+                              rank.data(), unit.data());
+      sims[d].assign(rows.size(), 0.0);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const PartialScore want =
+            reference::ScorePartialMatch(table_, rows[i], units, d, ctx);
+        EXPECT_EQ(Bits(rank[i]), Bits(want.rank_sim))
+            << "unit " << d << " row " << rows[i];
+        EXPECT_EQ(Bits(unit[i]), Bits(want.unit_sim))
+            << "unit " << d << " row " << rows[i];
+        const PartialScore one = row_scorer.Score(table_, rows[i], d);
+        EXPECT_EQ(Bits(one.rank_sim), Bits(want.rank_sim));
+        EXPECT_EQ(one.measure, want.measure);
+        sims[d][rows[i]] = unit[i];
+      }
+      // Score() and unit_measure() carry the same Table 2 label.
+      EXPECT_EQ(block_scorer.unit_measure(d), MeasureLabel(table_.schema(),
+                                                           units[d]));
+    }
+    return sims;
+  }
+
+  /// ScoreRecord on each record with each unit dropped vs the reference's
+  /// record form, under `ctx`. Returns the unit similarities by
+  /// [dropped unit][record].
+  std::vector<std::vector<double>> ExpectRecordParity(
+      const std::vector<MatchUnit>& units,
+      const std::vector<db::Record>& records, const SimilarityContext& ctx) {
+    std::vector<std::vector<double>> sims(units.size());
+    SimScorer scorer(table_.schema(), units, ctx);
+    for (std::size_t d = 0; d < units.size(); ++d) {
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        double rank_sim = -1.0, unit_sim = -1.0;
+        scorer.ScoreRecord(records[i], d, &rank_sim, &unit_sim);
+        const PartialScore want = reference::ScorePartialMatch(
+            table_.schema(), records[i], units, d, ctx);
+        EXPECT_EQ(Bits(rank_sim), Bits(want.rank_sim))
+            << "unit " << d << " record " << i;
+        EXPECT_EQ(Bits(unit_sim), Bits(want.unit_sim))
+            << "unit " << d << " record " << i;
+        sims[d].push_back(unit_sim);
+      }
+    }
+    EXPECT_EQ(scorer.rows_scored(), units.size() * records.size());
+    EXPECT_EQ(scorer.sim_evals(), units.size() * records.size());
+    return sims;
+  }
+
+  db::Table table_;
+  qlog::TiMatrix ti_;
+  wordsim::WsMatrix ws_;
+  std::vector<double> ranges_;
+  std::unique_ptr<const RecordTerms> terms_;
+  SimilarityContext ctx_;
+};
+
+TEST_F(CodePathTest, MultiValuedCellsTakeTheBestElement) {
+  const auto sims = ExpectReferenceParity(
+      {TypeIIUnit(kFeatures, "leather seats"),
+       TypeIIUnit(kFeatures, "power steering")});
+  // The value is the second element of each of these lists.
+  EXPECT_EQ(sims[0][8], 1.0);  // "gps;leather seats"
+  EXPECT_EQ(sims[0][9], 1.0);  // "gps;leather seats;sunroof"
+  EXPECT_EQ(sims[1][0], 1.0);  // "cd player;power steering"
+  EXPECT_LT(sims[1][3], 1.0);  // "cd player"
+}
+
+TEST_F(CodePathTest, NullCellsScoreLikeTheReference) {
+  const auto sims = ExpectReferenceParity(
+      {IdentityUnit("honda", "accord"), TypeIIUnit(kColor, "blue"),
+       TypeIIUnit(kFeatures, "gps")});
+  // Row 13's identity is its model alone; a NULL cell has no element.
+  EXPECT_EQ(sims[1][13], 0.0);
+  EXPECT_EQ(sims[2][13], 0.0);
+  EXPECT_EQ(sims[1][0], 1.0);
+}
+
+TEST_F(CodePathTest, EqualElementsMatchWithoutAWordMatrix) {
+  SimilarityContext no_ws = ctx_;
+  no_ws.ws = nullptr;
+  const auto sims = ExpectReferenceParity(
+      {TypeIIUnit(kColor, "blue"), TypeIIUnit(kFeatures, "gps")}, no_ws);
+  EXPECT_EQ(sims[0][0], 1.0);  // blue
+  EXPECT_EQ(sims[0][2], 0.0);  // gold
+  EXPECT_EQ(sims[1][9], 1.0);  // "gps;leather seats;sunroof"
+  EXPECT_EQ(sims[1][0], 0.0);
+}
+
+TEST_F(CodePathTest, TypeIIConditionOverAColumnWithoutElements) {
+  // A Type II condition on the numeric price column: its cells have no
+  // elements, so every row scores 0.
+  const auto sims = ExpectReferenceParity({TypeIIUnit(kPrice, "8900")});
+  for (double s : sims[0]) EXPECT_EQ(s, 0.0);
+}
+
+TEST_F(CodePathTest, JoinedIdentityEqualToTheValueScoresOneOutsideTi) {
+  ASSERT_EQ(ti_.Resolve("jeep cherokee"), text::kInvalidTerm);
+  const auto sims = ExpectReferenceParity({IdentityUnit("jeep", "cherokee")});
+  EXPECT_EQ(sims[0][11], 1.0);  // jeep cherokee
+  EXPECT_EQ(sims[0][0], 0.0);   // honda accord: no TI pair with it
+}
+
+TEST_F(CodePathTest, ConflictingDigitsAreExclusive) {
+  ASSERT_NE(ws_.Resolve("door"), text::kInvalidTerm);
+  const auto sims = ExpectReferenceParity({TypeIIUnit(kDoors, "2 door")});
+  EXPECT_EQ(sims[0][3], 1.0);  // "2 door"
+  EXPECT_EQ(sims[0][0], 0.0);  // "4 door": shares "door", not the digit
+}
+
+TEST_F(CodePathTest, DeltaRecordsOutsideTheBaseDictionary) {
+  const auto& cars = cqads::testing::MiniCarRows();
+  std::vector<db::Record> records;
+  // Values no base row holds: a color, a list element, a whole identity.
+  db::Record r = cqads::testing::MiniCarRecord(cars[0]);
+  r[kColor] = db::Value::Text("teal");
+  r[kFeatures] = db::Value::Text("heated mirrors;gps");
+  records.push_back(r);
+  r = cqads::testing::MiniCarRecord(cars[5]);
+  r[kMake] = db::Value::Text("tesla");
+  r[kModel] = db::Value::Text("roadster");
+  r[kColor] = db::Value::Text("navy blue");
+  records.push_back(r);
+  r[kColor] = db::Value::Null();
+  r[kFeatures] = db::Value::Null();
+  records.push_back(r);
+  records.push_back(cqads::testing::MiniCarRecord(cars[3]));  // all base
+
+  const std::vector<MatchUnit> units = {
+      TypeIIUnit(kColor, "teal"), TypeIIUnit(kColor, "blue"),
+      TypeIIUnit(kFeatures, "heated mirrors"), TypeIIUnit(kFeatures, "gps"),
+      IdentityUnit("tesla", "roadster"), IdentityUnit("honda", "civic")};
+  auto sims = ExpectRecordParity(units, records, ctx_);
+  EXPECT_EQ(sims[0][0], 1.0);  // "teal" == "teal", neither in the base
+  EXPECT_GT(sims[1][1], 0.0);  // "navy blue" vs "blue"
+  EXPECT_EQ(sims[2][0], 1.0);  // list element outside the base
+  EXPECT_EQ(sims[3][0], 1.0);  // its neighbour "gps" is a base element
+  EXPECT_EQ(sims[4][1], 1.0);  // identity outside the base and TI
+  EXPECT_EQ(sims[5][3], 1.0);  // a base record scores as its row would
+
+  // Without a word matrix an equal value is still an exact match, inside
+  // the base dictionary or outside it.
+  SimilarityContext no_ws = ctx_;
+  no_ws.ws = nullptr;
+  sims = ExpectRecordParity(units, records, no_ws);
+  EXPECT_EQ(sims[0][0], 1.0);
+  EXPECT_EQ(sims[1][1], 0.0);
+  EXPECT_EQ(sims[2][0], 1.0);
+  EXPECT_EQ(sims[3][0], 1.0);
+}
+
+TEST_F(CodePathTest, OneSimilarityPerDistinctCodeKey) {
+  // Colors: 7 distinct values plus NULL over 15 rows; make+model: 14
+  // distinct pairs (the two accords share one, NULLs key like codes).
+  const std::vector<MatchUnit> units = {TypeIIUnit(kColor, "blue"),
+                                        IdentityUnit("honda", "accord")};
+  SimScorer scorer(table_.schema(), units, ctx_);
+  std::vector<db::RowId> rows;
+  for (db::RowId r = 0; r < table_.num_rows(); ++r) rows.push_back(r);
+  std::vector<double> rank(rows.size());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t d = 0; d < units.size(); ++d) {
+      scorer.ScoreBlock(table_, rows.data(), rows.size(), d, rank.data(),
+                        nullptr);
+    }
+  }
+  std::set<std::uint32_t> colors;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> identities;
+  for (db::RowId r : rows) {
+    colors.insert(table_.store().dict_code(r, kColor));
+    identities.insert({table_.store().dict_code(r, kMake),
+                       table_.store().dict_code(r, kModel)});
+  }
+  EXPECT_EQ(scorer.rows_scored(), 4 * rows.size());
+  EXPECT_EQ(scorer.sim_evals(), colors.size() + identities.size());
+}
+
+TEST(RecordTermsTest, ElementsTokensAndTiIds) {
+  const db::Table table = cqads::testing::MiniCarTable();
+  qlog::LogGenSpec spec;
+  spec.values = {"honda", "accord", "bmw"};
+  spec.cluster_of = {0, 0, 1};
+  spec.num_sessions = 200;
+  Rng rng(9);
+  const qlog::TiMatrix ti =
+      qlog::TiMatrix::Build(qlog::GenerateQueryLog(spec, &rng));
+  const auto terms = RecordTerms::Build(table, &ti);
+  const db::ColumnStore& store = table.store();
+
+  // Every element of every text column, by its code.
+  for (std::size_t a = 0; a < table.schema().num_attributes(); ++a) {
+    const auto& elements = store.element_dictionary(a);
+    EXPECT_EQ(terms->has_elements(a),
+              table.schema().attribute(a).data_kind != db::DataKind::kNumeric);
+    for (std::uint32_t code = 0; code < elements.size(); ++code) {
+      EXPECT_EQ(terms->FindElement(a, elements[code]), code);
+      const RecordTerms::Element& e = terms->element(a, code);
+      const text::TokenList toks = text::Tokenize(elements[code]);
+      ASSERT_EQ(e.end - e.begin, toks.size()) << elements[code];
+      for (std::size_t i = 0; i < toks.size(); ++i) {
+        const RecordTerms::Token& t =
+            terms->token(terms->token_ids()[e.begin + i]);
+        EXPECT_EQ(t.text, toks[i].text);
+        EXPECT_EQ(t.stem, text::PorterStem(toks[i].text));
+      }
+    }
+  }
+  EXPECT_EQ(terms->FindElement(kColor, "teal"), RecordTerms::kNone);
+  EXPECT_EQ(terms->FindElement(kPrice, "8900"), RecordTerms::kNone);
+  EXPECT_EQ(terms->element(kDoors, terms->FindElement(kDoors, "2 door")).digits,
+            "2 ");
+  // Equal token texts share one id: "player" in "cd player" and
+  // "cassette player".
+  const std::uint32_t player = terms->FindToken("player");
+  ASSERT_NE(player, RecordTerms::kNone);
+  EXPECT_EQ(terms->token(player).text, "player");
+
+  // TI ids by dictionary code, on the Type I columns only.
+  const auto& makes = store.dictionary(kMake);
+  ASSERT_EQ(terms->ti_ids(kMake).size(), makes.size());
+  for (std::size_t c = 0; c < makes.size(); ++c) {
+    EXPECT_EQ(terms->ti_ids(kMake)[c], ti.Resolve(makes[c].text()));
+  }
+  EXPECT_TRUE(terms->ti_ids(kColor).empty());
+  EXPECT_TRUE(RecordTerms::Build(table, nullptr)->ti_ids(kMake).empty());
 }
 
 }  // namespace

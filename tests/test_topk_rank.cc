@@ -343,7 +343,7 @@ TEST(RankBoundsTest, MiniCarBlockMetadata) {
   EXPECT_EQ(bounds->block_end(0), 13u);
 
   // Attribute 0 ("make", text): one block whose code range covers every
-  // row's code, with a representative row per dictionary code.
+  // row's code, and a presence flag per dictionary code.
   const auto& make = bounds->attr(0);
   ASSERT_EQ(make.code_min.size(), 1u);
   ASSERT_LE(make.code_min[0], make.code_max[0]);
@@ -352,11 +352,10 @@ TEST(RankBoundsTest, MiniCarBlockMetadata) {
     ASSERT_GE(codes[r], make.code_min[0]);
     ASSERT_LE(codes[r], make.code_max[0]);
   }
-  for (std::uint32_t c = 0; c < make.first_row_of_code.size(); ++c) {
-    const RowId rep = make.first_row_of_code[c];
-    if (rep == db::exec::kNoRankRow) continue;
-    EXPECT_EQ(codes[rep], c);
-  }
+  std::vector<std::uint8_t> present(table.store().dictionary(0).size(), 0);
+  for (RowId r = 0; r < table.num_rows(); ++r) present[codes[r]] = 1;
+  EXPECT_EQ(make.code_present, present);
+  EXPECT_FALSE(make.any_null);
 
   // Attribute 2 ("year", numeric): the block's value envelope is the
   // column's true min/max.
@@ -915,6 +914,11 @@ TEST_F(BigDomainTest, DeadlinedSweepsDegradeOrExpireNeverError) {
       << json;
   EXPECT_EQ(s.rank_blocks_visited > 0,
             json.find("\"rank_blocks_visited\":0") == std::string::npos);
+  // The scorer's work: rows scored, and similarities computed.
+  EXPECT_NE(json.find("\"rank_rows_scored\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"rank_sim_evals\""), std::string::npos) << json;
+  EXPECT_GT(s.rank_rows_scored, 0u);
+  EXPECT_EQ(json.find("\"rank_rows_scored\":0"), std::string::npos) << json;
   // The 9000-row table keeps a fragment memo: the relaxed asks above
   // resolved fragments from it or filled it, and what it holds is counted.
   EXPECT_NE(json.find("\"rank_fragment_hits\""), std::string::npos) << json;
