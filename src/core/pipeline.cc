@@ -409,7 +409,7 @@ Status Rank(const EngineSnapshot& s, const DomainRuntime& rt,
       for (; bits != 0; bits &= bits - 1) {
         const auto row =
             static_cast<db::RowId>(w * 64 + __builtin_ctzll(bits));
-        double rank_sim, unit_sim;
+        double rank_sim = 0.0, unit_sim = 0.0;
         scorer.ScoreRecord(delta->record(row - base_rows), dropped,
                            &rank_sim, &unit_sim);
         if (single && unit_sim <= 0.0) continue;
